@@ -20,7 +20,7 @@ from dataclasses import replace
 import numpy as np
 
 from . import folding
-from .imaging import draw_detections, list_frames, pack_input, read_ppm, resize_nearest, write_ppm
+from .imaging import draw_detections, list_frames, read_ppm, to_input, write_ppm
 from .model import (
     Model,
     ModelConfig,
@@ -33,15 +33,8 @@ from .model import (
     save_weights,
 )
 from .pipeline import PipelineConfig, serve_tcp
-from .postprocess import (
-    decode_grid,
-    dequantize_output,
-    evaluate_ap,
-    format_detection_line,
-    nms,
-    parse_widerface_gt,
-    to_pixel_box,
-)
+from .postprocess import (detect, evaluate_ap, format_detection_line, parse_widerface_gt,
+                          to_pixel_box)
 
 BENCH_STAGES = ("Preprocessing", "CNN", "Postprocessing")
 
@@ -100,21 +93,12 @@ def _read_image(path):
         _fail_input("image", e)
 
 
-def _infer_image(model, run, img):
-    resized = img
-    if (img.width, img.height) != (model.config.input_size, model.config.input_size):
-        resized = resize_nearest(img)
-    out = forward(model, pack_input(resized))
-    grid = dequantize_output(out)
-    dets = decode_grid(grid, model.config, run.conf_threshold, run.decode_mode)
-    return out, nms(dets, run.nms_iou)
-
-
 def cmd_infer(args) -> int:
     run = _load_run_config(args)
     model = _load_model(args, run)
     img = _read_image(args.image)
-    out, dets = _infer_image(model, run, img)
+    out = forward(model, to_input(img))
+    dets = detect(out, model.config, run)
     write_ppm(draw_detections(img, dets), args.out)
     if args.grid_dump:
         with open(args.grid_dump, "wb") as f:
@@ -134,16 +118,11 @@ def cmd_bench(args) -> int:
 
     def one_pass(record: bool) -> None:
         t0 = time.perf_counter()
-        resized = img
-        if (img.width, img.height) != (model.config.input_size, model.config.input_size):
-            resized = resize_nearest(img)
-        x = pack_input(resized)
+        x = to_input(img)
         t1 = time.perf_counter()
         out = forward(model, x)
         t2 = time.perf_counter()
-        grid = dequantize_output(out)
-        dets = decode_grid(grid, model.config, run.conf_threshold, run.decode_mode)
-        nms(dets, run.nms_iou)
+        detect(out, model.config, run)
         t3 = time.perf_counter()
         if record:
             times["Preprocessing"].append((t1 - t0) * 1e3)
@@ -173,12 +152,17 @@ def cmd_serve(args) -> int:
     run = _load_run_config(args)
     model = _load_model(args, run)
     host, _, port = args.listen.rpartition(":")
-    if not host or not port.isdigit():
+    if not host or not port.isdecimal():
         raise CliInputError(f"listen address {args.listen!r} is not HOST:PORT")
+    if int(port) > 65535:
+        raise CliInputError(f"listen port {port} outside 0..65535")
     if not os.path.isdir(args.source):
         raise CliInputError(f"source: {args.source!r} is not a directory")
     paths = list_frames(args.source)
-    cfg = PipelineConfig(queue_capacity=args.queue_capacity)
+    try:
+        cfg = PipelineConfig(queue_capacity=args.queue_capacity)
+    except ValueError as e:
+        _fail_input("pipeline", e)
     stats = serve_tcp(
         (host, int(port)),
         _frame_reader(paths),
@@ -209,7 +193,7 @@ def cmd_eval(args) -> int:
         if not os.path.exists(path):
             raise CliInputError(f"image: missing frame for {image_id!r}")
         img = _read_image(path)
-        _out, dets = _infer_image(model, run, img)
+        dets = detect(forward(model, to_input(img)), model.config, run)
         for d in dets:
             x, y, w, h = to_pixel_box(d, img.width, img.height)
             preds.append((image_id, d.score, x, y, w, h))
@@ -242,9 +226,10 @@ def cmd_fold(args) -> int:
             spec = folding.balance_folding(args.balance)
         else:
             spec = folding.parse_folding_spec(args.spec)
+        report = folding.format_report(spec, clock_hz=args.clock_mhz * 1e6)
     except (OSError, ValueError) as e:
         _fail_input("folding", e)
-    print(folding.format_report(spec, clock_hz=args.clock_mhz * 1e6))
+    print(report)
     return 0
 
 

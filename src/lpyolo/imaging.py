@@ -20,7 +20,7 @@ __all__ = [
     "write_ppm",
     "resize_nearest",
     "pack_input",
-    "tensor_to_image",
+    "to_input",
     "draw_detections",
     "list_frames",
 ]
@@ -140,12 +140,11 @@ def pack_input(img: Image) -> QuantTensor:
     )
 
 
-def tensor_to_image(t: QuantTensor) -> Image:
-    """Inverse of pack_input for any 8-bit unsigned 3-channel tensor."""
-    h, w, c = t.shape
-    if c != 3 or t.params.bits != 8 or t.params.signed:
-        raise ValueError("need an 8-bit unsigned RGB tensor")
-    return Image(width=w, height=h, pixels=t.data.astype(np.uint8).tobytes())
+def to_input(img: Image) -> QuantTensor:
+    """Any frame -> network input: resize unless already 416x416, then pack."""
+    if (img.width, img.height) != (INPUT_SIZE, INPUT_SIZE):
+        img = resize_nearest(img)
+    return pack_input(img)
 
 
 def draw_detections(img: Image, dets: list) -> Image:

@@ -20,7 +20,6 @@ __all__ = [
     "RequantSpec",
     "ACTIVATIONS",
     "sigmoid",
-    "sigmoid_via_tanh",
     "rescaled_hardtanh",
     "conv2d_acc",
     "conv2d_real",
@@ -45,12 +44,6 @@ def sigmoid(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
-
-
-def sigmoid_via_tanh(x):
-    """(1 + tanh(x/2)) / 2, algebraically identical to sigmoid."""
-    x = np.asarray(x, dtype=np.float64)
-    return 0.5 * (1.0 + np.tanh(0.5 * x))
 
 
 def rescaled_hardtanh(x):
@@ -231,11 +224,12 @@ def conv2d_real(
 def requantize(acc: np.ndarray, spec: RequantSpec) -> QuantTensor:
     """Map a raw accumulator onto the unsigned output lattice.
 
-    relu: q = clamp(round_half_even(acc * M), 0, qmax). Clamping at zero
-    after the round is equivalent to applying ReLU before it, since a
-    non-positive accumulator rounds to a non-positive integer.
+    relu: q = clamp(rint(acc * M), 0, qmax), where rint rounds ties to
+    even. Clamping at zero after the round is equivalent to applying ReLU
+    before it, since a non-positive accumulator rounds to a non-positive
+    integer.
 
-    rescaled_hardtanh: q = clamp(round_half_even(acc * M + qmax/2), 0, qmax)
+    rescaled_hardtanh: q = clamp(rint(acc * M + qmax/2), 0, qmax)
     with M folded by 1/4 and out_scale pinned to 1/qmax, which is exactly
     clamp(real/4 + 1/2, 0, 1) expressed in lattice units.
 

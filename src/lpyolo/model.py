@@ -43,15 +43,14 @@ __all__ = [
     "CONV_PLAN",
     "POOL_STRIDES",
     "INPUT_SIZE",
+    "FIRST_LAST_BITS",
     "OUTPUT_GRID",
     "OUTPUT_CHANNELS",
     "PIXEL_SCALE",
     "DEFAULT_ANCHORS",
     "plan_shapes",
     "build_model",
-    "build_from_file",
     "random_init",
-    "parameter_count",
     "forward",
     "forward_float",
     "save_weights",
@@ -60,6 +59,7 @@ __all__ = [
 ]
 
 INPUT_SIZE = 416
+FIRST_LAST_BITS = 8
 OUTPUT_GRID = 13
 OUTPUT_CHANNELS = 18
 
@@ -113,23 +113,17 @@ class LayerCountError(WeightFileError):
 @dataclass(frozen=True)
 class ModelConfig:
     """Bit widths and anchor priors. weight_bits/act_bits govern convolutions
-    2..9; the first and last convolutions always run at first_last_bits."""
+    2..9; the first and last convolutions always run at FIRST_LAST_BITS."""
 
     weight_bits: int
     act_bits: int
     anchors: tuple = DEFAULT_ANCHORS
-    first_last_bits: int = 8
-    input_size: int = INPUT_SIZE
 
     def __post_init__(self) -> None:
         if not 2 <= self.weight_bits <= 8:
             raise ValueError(f"weight_bits {self.weight_bits} outside 2..8")
         if not 1 <= self.act_bits <= 8:
             raise ValueError(f"act_bits {self.act_bits} outside 1..8")
-        if self.first_last_bits != 8:
-            raise ValueError("first/last convolution bit width is fixed at 8")
-        if self.input_size != INPUT_SIZE:
-            raise ValueError(f"input size is fixed at {INPUT_SIZE}")
         anchors = tuple((float(w), float(h)) for w, h in self.anchors)
         if len(anchors) != 3:
             raise ValueError(f"exactly 3 anchors required, got {len(anchors)}")
@@ -243,7 +237,7 @@ def plan_shapes() -> list:
 def _layer_bits(cfg: ModelConfig, index: int) -> tuple[int, int]:
     """(weight_bits, output act_bits) for conv `index` (1-based)."""
     if index in (1, len(CONV_PLAN)):
-        return cfg.first_last_bits, cfg.first_last_bits
+        return FIRST_LAST_BITS, FIRST_LAST_BITS
     return cfg.weight_bits, cfg.act_bits
 
 
@@ -488,17 +482,6 @@ def build_model(cfg: ModelConfig, wf: WeightFile) -> Model:
     return model
 
 
-def build_from_file(path, cfg: ModelConfig | None = None) -> Model:
-    wf = load_weights(path)
-    if cfg is None:
-        cfg = ModelConfig(weight_bits=wf.weight_bits, act_bits=wf.act_bits)
-    return build_model(cfg, wf)
-
-
-def parameter_count(model: Model) -> int:
-    return sum(l.weights.weights.size for l in model.conv_layers())
-
-
 def _f32(x: float) -> float:
     return float(np.float32(x))
 
@@ -557,10 +540,9 @@ def random_init(cfg: ModelConfig, seed: int, with_bias: bool = True) -> Model:
 # Forward passes
 
 
-def _check_input_quant(model: Model, x: QuantTensor) -> None:
-    size = model.config.input_size
-    if x.shape != (size, size, 3):
-        raise ValueError(f"input shape {x.shape}, expected {(size, size, 3)}")
+def _check_input_quant(x: QuantTensor) -> None:
+    if x.shape != (INPUT_SIZE, INPUT_SIZE, 3):
+        raise ValueError(f"input shape {x.shape}, expected {(INPUT_SIZE, INPUT_SIZE, 3)}")
     p = x.params
     if p.bits != 8 or p.signed or p.scale != PIXEL_SCALE:
         raise ValueError("input must be 8-bit unsigned at scale 1/255")
@@ -568,7 +550,7 @@ def _check_input_quant(model: Model, x: QuantTensor) -> None:
 
 def forward(model: Model, x: QuantTensor) -> QuantTensor:
     """Integer inference: conv accumulators + requantize, pools on lattices."""
-    _check_input_quant(model, x)
+    _check_input_quant(x)
     for layer in model.layers:
         if isinstance(layer, ConvLayer):
             acc = conv2d_acc(x, layer.weights)
@@ -590,9 +572,8 @@ def forward_float(model: Model, x: FloatTensor, mode: str = "fake_quant") -> Flo
     pure_float is the unquantized baseline: real weights, plain ReLU, and a
     sigmoid on the last layer instead of the hardtanh surrogate.
     """
-    size = model.config.input_size
-    if x.shape != (size, size, 3):
-        raise ValueError(f"input shape {x.shape}, expected {(size, size, 3)}")
+    if x.shape != (INPUT_SIZE, INPUT_SIZE, 3):
+        raise ValueError(f"input shape {x.shape}, expected {(INPUT_SIZE, INPUT_SIZE, 3)}")
     if mode not in ("fake_quant", "pure_float"):
         raise ValueError(f"unknown mode {mode!r}")
     grid = x.grid()

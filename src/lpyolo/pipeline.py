@@ -23,9 +23,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .imaging import Image, pack_input, resize_nearest
-from .model import INPUT_SIZE, Model, RunConfig, forward
-from .postprocess import decode_grid, dequantize_output, nms
+from .imaging import to_input
+from .model import Model, RunConfig, forward
+from .postprocess import detect
 
 __all__ = [
     "FrameMessage",
@@ -59,6 +59,11 @@ MSG_END = 2
 _HEAD = struct.Struct("<4sBBQHHH")
 _DET = struct.Struct("<6f")
 _PAYLOAD_LEN = struct.Struct("<I")
+
+# Largest single read request. A header may claim a payload of almost 4 GiB
+# and a buffered socket reader sizes its buffer from the request, so capping
+# it keeps memory growing only with the bytes that actually arrive.
+MAX_READ = 1 << 20
 
 
 class WireError(ValueError):
@@ -167,7 +172,7 @@ def _read_exact(f, n: int) -> bytes:
     chunks = []
     got = 0
     while got < n:
-        chunk = f.read(n - got)
+        chunk = f.read(min(n - got, MAX_READ))
         if not chunk:
             raise WireLengthError(f"stream ended {n - got} bytes short")
         chunks.append(chunk)
@@ -318,14 +323,9 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None) -> Pipeline
 
 
 def _build_stages(model: Model, run_cfg: RunConfig, sink):
-    mcfg = model.config
-
     def preprocess(item):
         frame_id, img = item
-        resized = img
-        if (img.width, img.height) != (INPUT_SIZE, INPUT_SIZE):
-            resized = resize_nearest(img)
-        return frame_id, img, pack_input(resized)
+        return frame_id, img, to_input(img)
 
     def infer(item):
         frame_id, img, x = item
@@ -333,9 +333,7 @@ def _build_stages(model: Model, run_cfg: RunConfig, sink):
 
     def postprocess(item):
         frame_id, img, out = item
-        grid = dequantize_output(out)
-        dets = decode_grid(grid, mcfg, run_cfg.conf_threshold, run_cfg.decode_mode)
-        dets = nms(dets, run_cfg.nms_iou)
+        dets = detect(out, model.config, run_cfg)
         return FrameMessage(
             frame_id=frame_id,
             width=img.width,

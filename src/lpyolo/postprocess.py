@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import INPUT_SIZE, OUTPUT_CHANNELS, OUTPUT_GRID, PIXEL_SCALE, ModelConfig
+from .model import INPUT_SIZE, OUTPUT_CHANNELS, OUTPUT_GRID, PIXEL_SCALE, ModelConfig, RunConfig
 from .qcore import QuantTensor
 
 __all__ = [
@@ -25,6 +25,7 @@ __all__ = [
     "decode_grid",
     "iou",
     "nms",
+    "detect",
     "evaluate_ap",
     "parse_widerface_gt",
     "to_pixel_box",
@@ -118,8 +119,8 @@ def decode_grid(
                 if decode_mode == "direct":
                     w, h = tw, th
                 else:
-                    w = aw * (2.0 * tw) ** 2 / cfg.input_size
-                    h = ah * (2.0 * th) ** 2 / cfg.input_size
+                    w = aw * (2.0 * tw) ** 2 / INPUT_SIZE
+                    h = ah * (2.0 * th) ** 2 / INPUT_SIZE
                 out.append(
                     Detection(
                         cx=(tx + col) / OUTPUT_GRID,
@@ -169,6 +170,12 @@ def nms(dets: list, iou_threshold: float) -> list:
         bb = _corner(best)
         pending = [d for d in pending if iou(bb, _corner(d)) <= iou_threshold]
     return kept
+
+
+def detect(out: QuantTensor, cfg: ModelConfig, run: RunConfig) -> list:
+    """Network output grid -> final detections: dequantize, decode, NMS."""
+    dets = decode_grid(dequantize_output(out), cfg, run.conf_threshold, run.decode_mode)
+    return nms(dets, run.nms_iou)
 
 
 def evaluate_ap(preds: list, gt: GroundTruthSet, iou_threshold: float = 0.5) -> float:

@@ -1,4 +1,4 @@
-"""Quantized tensor primitives: integer lattices, scales, and rounding.
+"""Quantized tensor primitives: integer lattices and their scales.
 
 Every tensor in the integer inference path is a flat integer array plus a
 :class:`QuantParams` describing its bit width, signedness, and scale (the
@@ -6,7 +6,7 @@ real value of one quantization step). Zero-point is always 0: weights are
 symmetric and activations are non-negative, so an offset is never needed.
 
 All real arithmetic is 64-bit, which keeps integer accumulators up to 2**53
-exactly representable and makes the quantize/dequantize round trip provable.
+exactly representable.
 """
 
 from __future__ import annotations
@@ -20,11 +20,6 @@ __all__ = [
     "QuantParams",
     "QuantTensor",
     "FloatTensor",
-    "round_half_even",
-    "quantize_scalar",
-    "dequantize_scalar",
-    "quantize_tensor",
-    "dequantize_tensor",
 ]
 
 
@@ -49,30 +44,6 @@ class QuantParams:
     @property
     def qmax(self) -> int:
         return (1 << (self.bits - 1)) - 1 if self.signed else (1 << self.bits) - 1
-
-
-def round_half_even(x: float) -> int:
-    """Round to the nearest integer, ties to the even integer."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot round non-finite value {x}")
-    return round(x)
-
-
-def quantize_scalar(x: float, p: QuantParams) -> int:
-    """Map a real value onto the lattice: round(x / scale), saturating."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"cannot quantize non-finite value {x}")
-    q = round_half_even(x / p.scale)
-    return min(max(q, p.qmin), p.qmax)
-
-
-def dequantize_scalar(q: int, p: QuantParams) -> float:
-    """Real value of a lattice point: q * scale."""
-    if not p.qmin <= q <= p.qmax:
-        raise ValueError(f"quantized value {q} outside [{p.qmin}, {p.qmax}]")
-    return q * p.scale
 
 
 @dataclass(frozen=True)
@@ -134,14 +105,3 @@ class FloatTensor:
 
     def grid(self) -> np.ndarray:
         return self.data.reshape(self.shape)
-
-
-def quantize_tensor(t: FloatTensor, p: QuantParams) -> QuantTensor:
-    """Element-wise quantize_scalar; shape preserved."""
-    q = np.clip(np.rint(t.data / p.scale), p.qmin, p.qmax).astype(np.int32)
-    return QuantTensor(shape=t.shape, data=q, params=p)
-
-
-def dequantize_tensor(t: QuantTensor) -> FloatTensor:
-    """Element-wise dequantize_scalar; shape preserved."""
-    return FloatTensor(shape=t.shape, data=t.data.astype(np.float64) * t.params.scale)

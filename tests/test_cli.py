@@ -1,4 +1,5 @@
 import json
+import os
 import socket
 import subprocess
 import sys
@@ -6,6 +7,7 @@ import sys
 import numpy as np
 import pytest
 
+import lpyolo
 from lpyolo.cli import main
 from lpyolo.imaging import Image, read_ppm, write_ppm
 from lpyolo.pipeline import read_frame
@@ -239,6 +241,10 @@ class TestFold:
         assert main(["fold", "--balance", "3"]) == 2
         assert "folding" in capsys.readouterr().err
 
+    def test_zero_clock_exit_2(self, capsys):
+        assert main(["fold", "--balance", "10", "--clock-mhz", "0"]) == 2
+        assert "clock" in capsys.readouterr().err
+
     def test_spec_and_balance_conflict(self, tmp_path):
         with pytest.raises(SystemExit):
             main(["fold", "--spec", "x", "--balance", "10"])
@@ -263,6 +269,18 @@ class TestParser:
 
 
 class TestServeCommand:
+    def test_zero_queue_capacity_exit_2(self, weights, tmp_path, capsys):
+        assert main(["serve", "--weights", weights, "--source", str(tmp_path),
+                     "--listen", "127.0.0.1:0", "--queue-capacity", "0"]) == 2
+        assert "queue capacity" in capsys.readouterr().err
+
+    def test_bad_port_exit_2(self, weights, tmp_path, capsys):
+        # "\u00b2" (superscript two) is a digit to str.isdigit but not to int()
+        for port in ("99999", "\u00b2"):
+            assert main(["serve", "--weights", weights, "--source", str(tmp_path),
+                         "--listen", f"127.0.0.1:{port}"]) == 2
+            assert port in capsys.readouterr().err
+
     def test_streams_directory_over_tcp(self, weights, tmp_path):
         rng = np.random.default_rng(3)
         frames = tmp_path / "frames"
@@ -271,11 +289,15 @@ class TestServeCommand:
             img = Image(width=32, height=32,
                         pixels=rng.integers(0, 256, 3 * 32 * 32, dtype=np.uint8).tobytes())
             write_ppm(img, frames / f"{i}.ppm")
+        # the child imports the same lpyolo as this process, installed or not
+        src = os.path.dirname(os.path.dirname(lpyolo.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
         proc = subprocess.Popen(
             [sys.executable, "-m", "lpyolo.cli", "serve",
              "--weights", weights, "--source", str(frames),
              "--listen", "127.0.0.1:0"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True,
+            env=dict(os.environ, PYTHONPATH=path),
         )
         try:
             banner = proc.stdout.readline().strip()

@@ -10,7 +10,6 @@ from lpyolo.imaging import (
     pack_input,
     read_ppm,
     resize_nearest,
-    tensor_to_image,
     write_ppm,
 )
 from lpyolo.model import PIXEL_SCALE
@@ -160,11 +159,6 @@ class TestPackInput:
         img = Image(width=10, height=10, pixels=bytes(300))
         with pytest.raises(ValueError, match="416"):
             pack_input(img)
-
-    def test_tensor_to_image_inverse(self):
-        rng = np.random.default_rng(5)
-        img = rand_image(rng, 416, 416)
-        assert tensor_to_image(pack_input(img)) == img
 
 
 class TestDraw:

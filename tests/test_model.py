@@ -15,13 +15,11 @@ from lpyolo.model import (
     TruncatedFileError,
     WeightFile,
     WeightFileError,
-    build_from_file,
     build_model,
     forward,
     forward_float,
     load_run_config,
     load_weights,
-    parameter_count,
     plan_shapes,
     random_init,
     save_weights,
@@ -101,7 +99,7 @@ class TestPlan:
         expected = sum(cin * cout * k * k for cin, cout, k in plan)
         assert expected == 350696
         m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
-        assert parameter_count(m) == expected
+        assert sum(l.weights.weights.size for l in m.conv_layers()) == expected
 
 
 class TestConfigs:
@@ -260,14 +258,14 @@ class TestWeightFiles:
 
     def test_round_trip_identical_forward(self, tmp_path):
         m, path = self._file(tmp_path)
-        m2 = build_from_file(path)
+        m2 = build_model(m.config, load_weights(path))
         rng = np.random.default_rng(0)
         x = u8_input(rng)
         assert np.array_equal(forward(m, x).data, forward(m2, x).data)
 
     def test_resave_is_byte_identical(self, tmp_path):
         m, path = self._file(tmp_path)
-        m2 = build_from_file(path)
+        m2 = build_model(m.config, load_weights(path))
         path2 = tmp_path / "w2.lpyq"
         save_weights(m2, path2)
         assert path.read_bytes() == path2.read_bytes()
@@ -338,7 +336,7 @@ class TestBuildModel:
         path = tmp_path / "w.lpyq"
         save_weights(m, path)
         with pytest.raises(ValueError, match="4W4A"):
-            build_from_file(path, ModelConfig(weight_bits=6, act_bits=4))
+            build_model(ModelConfig(weight_bits=6, act_bits=4), load_weights(path))
 
     def test_shape_mismatch_names_layer(self):
         records = zero_weight_records()

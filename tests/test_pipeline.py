@@ -8,9 +8,11 @@ import time
 import numpy as np
 import pytest
 
-from lpyolo.imaging import Image
-from lpyolo.model import ModelConfig, random_init
+from lpyolo.cli import main
+from lpyolo.imaging import Image, to_input, write_ppm
+from lpyolo.model import ModelConfig, RunConfig, forward, random_init, save_weights
 from lpyolo.pipeline import (
+    MAX_READ,
     STAGES,
     FrameMessage,
     PipelineConfig,
@@ -27,6 +29,7 @@ from lpyolo.pipeline import (
     run_staged,
     serve_tcp,
 )
+from lpyolo.postprocess import detect
 
 
 @pytest.fixture(scope="module")
@@ -156,6 +159,31 @@ class TestWire:
         assert got == msgs + [None]
         assert f.read() == b""
 
+    def test_read_requests_are_capped(self):
+        class RecordingStream:
+            def __init__(self, data):
+                self.buf = io.BytesIO(data)
+                self.requests = []
+
+            def read(self, n):
+                self.requests.append(n)
+                return self.buf.read(n)
+
+        # 65535x65535 claims more than the u32 length field can state;
+        # 65535x21845 is the largest claim the length field can agree with
+        for w, h in ((65535, 65535), (65535, 21845)):
+            claim = min(3 * w * h, 0xFFFFFFFF)
+            head = struct.pack("<4sBBQHHH", b"LPYO", 1, 1, 0, w, h, 0)
+            f = RecordingStream(head + struct.pack("<I", claim) + b"abc")
+            with pytest.raises(WireLengthError):
+                read_frame(f)
+            assert max(f.requests) <= MAX_READ
+        # a 640x480 payload still arrives in one read
+        m = frame_msg(w=640, h=480, dets=())
+        f = RecordingStream(encode_frame(m))
+        assert read_frame(f) == m
+        assert f.requests[-1] == 3 * 640 * 480
+
 
 class TestRunStaged:
     def test_empty_source(self):
@@ -254,6 +282,27 @@ class TestRunPipeline:
         assert [m.payload for m in msgs] == [img.pixels for img in imgs]
         assert stats.frames == 3
         assert stats.fps > 0
+
+    def test_detections_match_the_cli_chain(self, model, tmp_path, capsys):
+        img = rand_image(np.random.default_rng(4))
+        run_cfg = RunConfig(conf_threshold=0.0)
+        want = detect(forward(model, to_input(img)), model.config, run_cfg)
+        assert want
+        got = []
+        run_pipeline([img], model, got.append, run_cfg=run_cfg)
+        assert got[0].detections == tuple(
+            tuple(float(np.float32(v)) for v in
+                  (d.cx, d.cy, d.w, d.h, d.objectness, d.class_score))
+            for d in want
+        )
+        weights, frame = tmp_path / "w.lpyq", tmp_path / "f.ppm"
+        save_weights(model, weights)
+        write_ppm(img, frame)
+        assert main(["infer", "--weights", str(weights), "--image", str(frame),
+                     "--out", str(tmp_path / "o.ppm"), "--conf", "0.0"]) == 0
+        assert capsys.readouterr().out.splitlines() == [
+            f"{d.score:.6f} {d.cx:.6f} {d.cy:.6f} {d.w:.6f} {d.h:.6f}" for d in want
+        ]
 
     def test_queue_capacity_validated(self):
         with pytest.raises(ValueError):
