@@ -12,6 +12,7 @@ the file.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 import time
@@ -21,6 +22,7 @@ import numpy as np
 
 from . import folding
 from .imaging import draw_detections, list_frames, read_ppm, to_input, write_ppm
+from .kernels import ACC_LIMIT
 from .model import (
     Model,
     ModelConfig,
@@ -29,6 +31,7 @@ from .model import (
     forward,
     load_run_config,
     load_weights,
+    precision_plan,
     random_init,
     save_weights,
 )
@@ -140,6 +143,13 @@ def cmd_bench(args) -> int:
             f"{name:<16}{sum(vals) / len(vals):>12.3f}"
             f"{min(vals):>12.3f}{max(vals):>12.3f}"
         )
+    # stderr keeps stdout to the stage table that scripts parse
+    print(f"{'conv':<8}{'in_qmax':>8}{'acc_bound':>12}{'dtype':>9}{'headroom_bits':>15}",
+          file=sys.stderr)
+    for name, qmax, bound, dtype in precision_plan(model):
+        headroom = math.log2(ACC_LIMIT / bound) if bound else math.inf
+        print(f"{name:<8}{qmax:>8}{bound:>12}{dtype.name:>9}{headroom:>15.2f}",
+              file=sys.stderr)
     return 0
 
 

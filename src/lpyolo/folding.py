@@ -9,6 +9,7 @@ out of scope.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 from .model import CONV_PLAN, plan_shapes
@@ -116,8 +117,8 @@ def all_cycles(spec: FoldingSpec) -> list:
 
 def estimate_throughput(spec: FoldingSpec, clock_hz: float = DEFAULT_CLOCK_HZ):
     """(frames per second, bottleneck layer name); earliest layer wins ties."""
-    if clock_hz <= 0:
-        raise ValueError("clock must be positive")
+    if not (math.isfinite(clock_hz) and clock_hz > 0):
+        raise ValueError(f"clock must be positive and finite, got {clock_hz}")
     rows = all_cycles(spec)
     worst = max(c for _n, c in rows)
     bottleneck = next(n for n, c in rows if c == worst)

@@ -1,15 +1,18 @@
 """Layer-level compute: integer convolution, requantizing activations, max
 pooling, and the sigmoid / rescaled-hardtanh pair.
 
-The integer path never touches floats until requantization, where a single
-float64 multiplier folds the three scales. The float reference path reuses
-the exact same requantize step, which is what makes the two paths provably
-bit-identical: both hand it the same integer accumulator values.
+The integer path carries integers in float registers: each convolution
+accumulates in float32 or float64, whichever a static bound on the
+accumulator proves exact (see acc_plan), so BLAS does the matmuls and every
+value it produces is an exact integer. Requantization then applies a single
+float64 multiplier that folds the three scales. The float reference path
+reuses the exact same requantize step, which is what makes the two paths
+provably bit-identical: both hand it the same integer accumulator values.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -19,6 +22,7 @@ __all__ = [
     "ConvWeights",
     "RequantSpec",
     "ACTIVATIONS",
+    "acc_plan",
     "sigmoid",
     "rescaled_hardtanh",
     "conv2d_acc",
@@ -63,11 +67,17 @@ class ConvWeights:
     bias is optional, one 32-bit integer per output channel, expressed at the
     accumulator's scale (in_scale * w_scale) so it adds directly onto the raw
     integer accumulator.
+
+    l1_max (largest per-output-channel sum of |weight|) and bias_max (largest
+    |bias|, 0 without bias) are derived at construction; they bound every
+    accumulator this filter bank can produce (see acc_plan).
     """
 
     weights: np.ndarray
     w_params: QuantParams
     bias: np.ndarray | None = None
+    l1_max: int = field(init=False, repr=False, compare=False)
+    bias_max: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = self.weights
@@ -86,14 +96,22 @@ class ConvWeights:
                 f"weights [{lo}, {hi}] exceed "
                 f"[{self.w_params.qmin}, {self.w_params.qmax}]"
             )
+        # in range, so abs() cannot wrap once int8 is widened to int32
+        taps = w.reshape(out_ch, in_ch * kh * kw).astype(np.int32, copy=False)
+        l1 = np.abs(taps).sum(axis=1, dtype=np.int64)
+        object.__setattr__(self, "l1_max", int(l1.max(initial=0)))
+        bias_max = 0
         if self.bias is not None:
             b = self.bias
             if b.ndim != 1 or b.size != out_ch:
                 raise ValueError(f"bias length {b.size} != out channels {out_ch}")
             if not np.issubdtype(b.dtype, np.integer):
                 raise ValueError(f"bias must be integers, got {b.dtype}")
-            if int(np.abs(b).max(initial=0)) >= ACC_LIMIT:
+            # widen first: abs() of the most negative int32 wraps to itself
+            bias_max = int(np.abs(b.astype(np.int64)).max(initial=0))
+            if bias_max >= ACC_LIMIT:
                 raise ValueError("bias exceeds 32-bit accumulator range")
+        object.__setattr__(self, "bias_max", bias_max)
 
     @property
     def out_channels(self) -> int:
@@ -168,24 +186,57 @@ def _check_conv_input(x_shape, w: ConvWeights, pad_same: bool):
     return k, pad
 
 
-def conv2d_acc(x: QuantTensor, w: ConvWeights, pad_same: bool = True) -> np.ndarray:
-    """Integer convolution, stride 1, returning the raw int64 accumulator.
+def acc_plan(in_params: QuantParams, w: ConvWeights) -> tuple[int, np.dtype]:
+    """Static accumulator bound and the float dtype that carries it exactly.
 
-    Padding value is 0, the zero-point, i.e. real 0. Implemented as an
-    im2col matmul; bias (if any) is added onto the accumulator.
+    bound = max(|qmin_in|, qmax_in) * l1_max + bias_max. Every partial sum
+    of every input on the in_params lattice, in any summation order, is an
+    integer of magnitude <= bound, so a dtype whose significand holds bound
+    makes the whole convolution exact: float32 below 2^24, float64 below
+    2^53, ValueError above.
+    """
+    bound = max(-in_params.qmin, in_params.qmax) * w.l1_max + w.bias_max
+    # a p-bit significand holds every integer of magnitude up to 2^p
+    if bound < 1 << 24:
+        return bound, np.dtype(np.float32)
+    if bound < 1 << 53:
+        return bound, np.dtype(np.float64)
+    raise ValueError(f"accumulator bound {bound} is not exact in float64")
+
+
+def conv2d_acc(x: QuantTensor, w: ConvWeights, pad_same: bool = True) -> np.ndarray:
+    """Integer convolution, stride 1, returning the raw accumulator.
+
+    Padding value is 0, the zero-point, i.e. real 0. The result is a float32
+    or float64 (h, w, out) array chosen by acc_plan; it holds exact integer
+    values, bias (if any) included. Implemented as one (rows, in) @ (in, out)
+    BLAS matmul per kernel tap over the flattened padded input: rows span the
+    padded width, and the columns that wrap past the right edge are cropped.
+
+    |acc| < 2^31 is proven by the bound when it is below 2^31; only above
+    that is the accumulator scanned.
     """
     k, pad = _check_conv_input(x.shape, w, pad_same)
-    grid = x.grid().astype(np.int64)
-    if pad:
-        grid = np.pad(grid, ((pad, pad), (pad, pad), (0, 0)))
-    win = np.lib.stride_tricks.sliding_window_view(grid, (k, k), axis=(0, 1))
-    oh, ow = win.shape[0], win.shape[1]
-    cols = win.reshape(oh, ow, w.in_channels * k * k)
-    filt = w.weights.reshape(w.out_channels, -1).astype(np.int64)
-    acc = cols @ filt.T
+    bound, dtype = acc_plan(x.params, w)
+    h, wd, cin = x.shape
+    oh, ow = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
+    pw = wd + 2 * pad
+    # one spare zero row keeps the last tap's flat slice inside the buffer
+    xp = np.zeros((h + 2 * pad + 1, pw, cin), dtype=dtype)
+    xp[pad : pad + h, pad : pad + wd] = x.grid()
+    flat = xp.reshape(-1, cin)
+    taps = w.weights.transpose(2, 3, 1, 0).astype(dtype)
+    rows = oh * pw
+    acc = flat[:rows] @ taps[0, 0]
+    for ky in range(k):
+        for kx in range(k):
+            if ky or kx:
+                off = ky * pw + kx
+                acc += flat[off : off + rows] @ taps[ky, kx]
     if w.bias is not None:
-        acc = acc + w.bias.astype(np.int64)
-    if int(np.abs(acc).max(initial=0)) >= ACC_LIMIT:
+        acc += w.bias.astype(dtype)
+    acc = acc.reshape(oh, pw, w.out_channels)[:, :ow]
+    if bound >= ACC_LIMIT and float(np.abs(acc).max(initial=0)) >= ACC_LIMIT:
         raise ValueError("accumulator overflow: |acc| reached 2^31")
     return acc
 
@@ -198,10 +249,11 @@ def conv2d_real(
 ) -> np.ndarray:
     """Float64 convolution over raw (h, w, c) / [out][in][kh][kw] arrays.
 
-    Deliberately a different algorithm from conv2d_acc (per-tap accumulation
-    instead of one flattened matmul) so the two can cross-check each other.
-    On integer-valued inputs it is exact: every partial sum stays far below
-    2^53.
+    The carrier of the fake-quant and pure-float reference passes; on real
+    weights it is the unquantized baseline. On integer-valued inputs it is
+    exact (every partial sum stays far below 2^53) and equals conv2d_acc;
+    the independent reference both are checked against is the seven-loop
+    convolution in the tests.
     """
     x = np.asarray(x, dtype=np.float64)
     wt = np.asarray(weights, dtype=np.float64)
@@ -233,16 +285,16 @@ def requantize(acc: np.ndarray, spec: RequantSpec) -> QuantTensor:
     with M folded by 1/4 and out_scale pinned to 1/qmax, which is exactly
     clamp(real/4 + 1/2, 0, 1) expressed in lattice units.
 
-    Accepts int64 accumulators or their exact float64 image; both produce
-    identical results because the multiply happens in float64 either way.
+    Accepts integer accumulators or their exact float32/float64 image; all
+    produce identical results because the multiply happens in float64.
     """
-    a = np.asarray(acc, dtype=np.float64)
-    r = a * spec.multiplier()
+    r = np.multiply(acc, spec.multiplier(), dtype=np.float64)
     off = spec.offset()
     if off:
-        r = r + off
+        r += off
     p = spec.out_params
-    q = np.clip(np.rint(r), p.qmin, p.qmax).astype(np.int32)
+    np.rint(r, out=r)
+    q = np.clip(r, p.qmin, p.qmax, out=r).astype(np.int32)
     h, wd, c = q.shape
     return QuantTensor(shape=(h, wd, c), data=q.reshape(-1), params=p)
 
@@ -260,8 +312,9 @@ def maxpool_grid(grid: np.ndarray, stride: int, pad_value=0) -> np.ndarray:
     if stride == 2:
         if h % 2 or w % 2:
             raise ValueError(f"stride-2 pool needs even spatial dims, got {h}x{w}")
-        blocks = grid.reshape(h // 2, 2, w // 2, 2, grid.shape[2])
-        return blocks.max(axis=(1, 3))
+        top = np.maximum(grid[0::2, 0::2], grid[0::2, 1::2])
+        bottom = np.maximum(grid[1::2, 0::2], grid[1::2, 1::2])
+        return np.maximum(top, bottom, out=top)
     if stride == 1:
         padded = np.pad(grid, ((0, 1), (0, 1), (0, 0)), constant_values=pad_value)
         win = np.lib.stride_tricks.sliding_window_view(padded, (2, 2), axis=(0, 1))

@@ -18,6 +18,7 @@ import numpy as np
 from .kernels import (
     ConvWeights,
     RequantSpec,
+    acc_plan,
     conv2d_acc,
     conv2d_real,
     maxpool,
@@ -49,6 +50,7 @@ __all__ = [
     "PIXEL_SCALE",
     "DEFAULT_ANCHORS",
     "plan_shapes",
+    "precision_plan",
     "build_model",
     "random_init",
     "forward",
@@ -546,6 +548,20 @@ def _check_input_quant(x: QuantTensor) -> None:
     p = x.params
     if p.bits != 8 or p.signed or p.scale != PIXEL_SCALE:
         raise ValueError("input must be 8-bit unsigned at scale 1/255")
+
+
+def precision_plan(model: Model) -> list:
+    """(conv name, input lattice qmax, accumulator bound, accumulator dtype)
+    per convolution: what conv2d_acc's acc_plan picks for the lattice each
+    layer's input arrives on (the 8-bit pixel lattice, then the previous
+    conv's output lattice, which pools pass through)."""
+    rows = []
+    params = QuantParams(bits=8, signed=False, scale=PIXEL_SCALE)
+    for layer in model.conv_layers():
+        bound, dtype = acc_plan(params, layer.weights)
+        rows.append((layer.name, params.qmax, bound, dtype))
+        params = layer.requant.out_params
+    return rows
 
 
 def forward(model: Model, x: QuantTensor) -> QuantTensor:

@@ -149,8 +149,18 @@ def iou(a, b) -> float:
     return min(1.0, inter / union)
 
 
-def _corner(d: Detection):
-    return (d.cx - d.w / 2.0, d.cy - d.h / 2.0, d.w, d.h)
+def _iou_row(a, bx, by, bw, bh):
+    """iou(a, b) for one box a against arrays of boxes b, with the same float
+    operations in the same order as the scalar form, so every value (and
+    every strict-> decision NMS takes on it) is bit-identical."""
+    ax, ay, aw, ah = a
+    ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
+    iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
+    inter = ix * iy
+    union = aw * ah + bw * bh - inter
+    out = np.zeros_like(inter)
+    np.divide(inter, union, out=out, where=union > 0.0)
+    return np.minimum(1.0, out, out=out)
 
 
 def _nms_key(d: Detection):
@@ -161,14 +171,25 @@ def _nms_key(d: Detection):
 
 def nms(dets: list, iou_threshold: float) -> list:
     """Greedy suppression: keep the best, drop overlaps above the threshold
-    (strict >), repeat. Output stays sorted best-first."""
-    pending = sorted(dets, key=_nms_key)
+    (strict >), repeat. Output stays sorted best-first.
+
+    One sweep in sorted order: each box still alive when reached is the best
+    of what remains, so it is kept and suppresses the alive boxes after it.
+    """
+    ranked = sorted(dets, key=_nms_key)
+    cx, cy, w, h = np.array(
+        [(d.cx, d.cy, d.w, d.h) for d in ranked], dtype=np.float64
+    ).reshape(-1, 4).T
+    x, y = cx - w / 2.0, cy - h / 2.0
+    alive = np.ones(len(ranked), dtype=bool)
     kept = []
-    while pending:
-        best = pending.pop(0)
-        kept.append(best)
-        bb = _corner(best)
-        pending = [d for d in pending if iou(bb, _corner(d)) <= iou_threshold]
+    for i, d in enumerate(ranked):
+        if not alive[i]:
+            continue
+        kept.append(d)
+        rest = slice(i + 1, None)
+        row = _iou_row((x[i], y[i], w[i], h[i]), x[rest], y[rest], w[rest], h[rest])
+        alive[rest] &= row <= iou_threshold
     return kept
 
 

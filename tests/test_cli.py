@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import socket
@@ -10,6 +11,7 @@ import pytest
 import lpyolo
 from lpyolo.cli import main
 from lpyolo.imaging import Image, read_ppm, write_ppm
+from lpyolo.model import ModelConfig, build_model, load_weights, random_init, save_weights
 from lpyolo.pipeline import read_frame
 
 
@@ -145,6 +147,37 @@ class TestBench:
         stages = [l.split()[0] for l in lines[2:5]]
         assert stages == ["Preprocessing", "CNN", "Postprocessing"]
 
+    def test_precision_plan_4w4a_all_float32(self, weights, image, capsys):
+        assert main(["bench", "--weights", weights, "--image", image,
+                     "--iters", "1"]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert err[0].split() == ["conv", "in_qmax", "acc_bound", "dtype", "headroom_bits"]
+        rows = [l.split() for l in err[1:]]
+        assert [r[0] for r in rows] == [f"conv{i}" for i in range(1, 11)]
+        assert {r[3] for r in rows} == {"float32"}
+        for _name, qmax, bound, _dtype, headroom in rows:
+            assert int(qmax) in (15, 255)
+            assert float(headroom) == pytest.approx(31 - np.log2(int(bound)), abs=0.006)
+
+    def test_precision_plan_shows_float64(self, tmp_path, image, capsys):
+        # a conv5 bias of 2^24 alone puts its bound past float32
+        model = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        save_weights(model, tmp_path / "base.lpyq")
+        wf = load_weights(tmp_path / "base.lpyq")
+        recs = list(wf.records)
+        recs[4] = dataclasses.replace(
+            recs[4], bias=np.full(recs[4].out_ch, 1 << 24, dtype=np.int32)
+        )
+        path = tmp_path / "wide.lpyq"
+        save_weights(build_model(model.config, dataclasses.replace(wf, records=tuple(recs))),
+                     path)
+        assert main(["bench", "--weights", str(path), "--image", image,
+                     "--iters", "1"]) == 0
+        rows = {l.split()[0]: l.split() for l in capsys.readouterr().err.splitlines()[1:]}
+        assert rows["conv5"][3] == "float64"
+        assert int(rows["conv5"][2]) >= 1 << 24
+        assert rows["conv4"][3] == "float32"
+
     def test_single_iter_stats_collapse(self, weights, image, capsys):
         assert main(["bench", "--weights", weights, "--image", image,
                      "--iters", "1"]) == 0
@@ -244,6 +277,11 @@ class TestFold:
     def test_zero_clock_exit_2(self, capsys):
         assert main(["fold", "--balance", "10", "--clock-mhz", "0"]) == 2
         assert "clock" in capsys.readouterr().err
+
+    def test_non_finite_clock_exit_2(self, capsys):
+        for clock in ("nan", "inf"):
+            assert main(["fold", "--balance", "10", "--clock-mhz", clock]) == 2
+            assert "clock" in capsys.readouterr().err
 
     def test_spec_and_balance_conflict(self, tmp_path):
         with pytest.raises(SystemExit):

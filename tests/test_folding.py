@@ -131,8 +131,9 @@ class TestThroughput:
         assert max(c for n, c in rows.items() if n.startswith("pool")) < rows["conv1"]
 
     def test_bad_clock(self):
-        with pytest.raises(ValueError):
-            estimate_throughput(ones_spec(), clock_hz=0.0)
+        for clock in (0.0, -1.0, float("nan"), float("inf")):
+            with pytest.raises(ValueError):
+                estimate_throughput(ones_spec(), clock_hz=clock)
 
     def test_fps_monotone_under_refinement(self):
         rng = np.random.default_rng(0)

@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from lpyolo.kernels import (
     ACC_LIMIT,
     ConvWeights,
     RequantSpec,
+    acc_plan,
     conv2d_acc,
     conv2d_real,
     maxpool,
@@ -69,6 +72,20 @@ class TestConvWeights:
         w = np.zeros((5, 3, 3, 3), dtype=np.int32)
         cw = ConvWeights(weights=w, w_params=_wp())
         assert (cw.out_channels, cw.in_channels, cw.kernel) == (5, 3, 3)
+
+    def test_accumulator_bound_terms(self):
+        w = np.array([[1, -2, 3], [-4, 0, 4]], dtype=np.int32).reshape(2, 3, 1, 1)
+        bias = np.array([-9, 7], dtype=np.int32)
+        cw = ConvWeights(weights=w, w_params=_wp(), bias=bias)
+        assert (cw.l1_max, cw.bias_max) == (8, 9)
+        assert ConvWeights(weights=w, w_params=_wp()).bias_max == 0
+
+    def test_rejects_most_negative_int32_bias(self):
+        # |-2^31| wraps to -2^31 in int32, which once slipped past the check
+        w = np.zeros((1, 1, 1, 1), dtype=np.int32)
+        bias = np.array([-(1 << 31)], dtype=np.int32)
+        with pytest.raises(ValueError, match="32-bit"):
+            ConvWeights(weights=w, w_params=_wp(), bias=bias)
 
 
 class TestConv:
@@ -141,6 +158,74 @@ class TestConv:
         bias = np.array([ACC_LIMIT - 255 * 127 * 27], dtype=np.int32)
         with pytest.raises(ValueError, match="overflow"):
             conv2d_acc(x, ConvWeights(weights=w, w_params=_wp(), bias=bias))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        wbits=st.integers(2, 8),
+        abits=st.integers(1, 8),
+        k=st.sampled_from([1, 3]),
+        cin=st.integers(1, 4),
+        cout=st.integers(1, 3),
+        h=st.integers(1, 6),
+        wd=st.integers(1, 6),
+        pad_same=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_exact_for_every_bit_config(
+        self, wbits, abits, k, cin, cout, h, wd, pad_same, seed
+    ):
+        assume(pad_same or (h >= k and wd >= k))
+        rng = np.random.default_rng(seed)
+        wp, ap = _wp(bits=wbits), QuantParams(bits=abits, signed=False, scale=1.0)
+        x = QuantTensor.from_grid(
+            rng.integers(0, ap.qmax + 1, size=(h, wd, cin)).astype(np.int32), ap
+        )
+        w = rng.integers(wp.qmin, wp.qmax + 1, size=(cout, cin, k, k)).astype(np.int32)
+        bias = rng.integers(-1000, 1001, size=cout).astype(np.int32)
+        cw = ConvWeights(weights=w, w_params=wp, bias=bias)
+        assert np.array_equal(
+            conv2d_acc(x, cw, pad_same), seven_loop_conv(x.grid(), w, bias, pad_same)
+        )
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize(
+        "bound, dtype",
+        [((1 << 24) - 1, np.float32), (1 << 24, np.float64), ((1 << 24) + 1, np.float64)],
+    )
+    def test_dtype_boundary_worst_case(self, k, bound, dtype):
+        # every pixel at qmax and every weight at qmin make the interior
+        # accumulator reach -bound exactly; 2^24 + 1 is the first integer
+        # float32 cannot hold
+        ap, wp = _u8(), _wp(bits=8)
+        cin, cout = 4, 2
+        x = QuantTensor.from_grid(np.full((5, 5, cin), ap.qmax, dtype=np.int32), ap)
+        w = np.full((cout, cin, k, k), wp.qmin, dtype=np.int32)
+        reach = ap.qmax * (-wp.qmin) * cin * k * k
+        bias = np.full(cout, -(bound - reach), dtype=np.int32)
+        cw = ConvWeights(weights=w, w_params=wp, bias=bias)
+        assert acc_plan(ap, cw) == (bound, np.dtype(dtype))
+        acc = conv2d_acc(x, cw)
+        assert acc.dtype == dtype
+        assert acc.min() == -bound
+        assert np.array_equal(acc, seven_loop_conv(x.grid(), w, bias))
+
+    def test_bound_past_guard_scans_instead_of_raising(self):
+        # the bound admits 2^31 but the real accumulator stays below it
+        x = QuantTensor.from_grid(np.zeros((3, 3, 1), dtype=np.int32), _u8())
+        w = np.ones((1, 1, 3, 3), dtype=np.int32)
+        bias = np.array([ACC_LIMIT - 1], dtype=np.int32)
+        cw = ConvWeights(weights=w, w_params=_wp(), bias=bias)
+        assert acc_plan(x.params, cw)[0] >= ACC_LIMIT
+        assert np.all(conv2d_acc(x, cw) == ACC_LIMIT - 1)
+
+    def test_plan_rejects_bound_past_float64(self):
+        w = np.full((1, 1, 1, 1), -128, dtype=np.int32)
+        cw = ConvWeights(weights=w, w_params=_wp())
+        assert acc_plan(_u8(), cw) == (255 * 128, np.dtype(np.float32))
+        # no filter bank that fits in memory gets near 2^53, so forge the norm
+        object.__setattr__(cw, "l1_max", (1 << 53) // 255 + 1)
+        with pytest.raises(ValueError, match="float64"):
+            acc_plan(_u8(), cw)
 
 
 class TestRequantize:

@@ -1,6 +1,8 @@
+import dataclasses
+
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpyolo.model import PIXEL_SCALE, ModelConfig
@@ -11,6 +13,7 @@ from lpyolo.postprocess import (
     dequantize_output,
     evaluate_ap,
     format_detection_line,
+    _iou_row,
     iou,
     nms,
     parse_widerface_gt,
@@ -190,8 +193,53 @@ class TestIou:
         assert v == iou(b, a)
         assert 0.0 <= v <= 1.0
 
+    @given(box, st.lists(box, max_size=20))
+    def test_row_is_bit_identical_to_scalar(self, a, bs):
+        # nms decides with row > thr, so equal-but-for-an-ulp would not do;
+        # a against itself is where roundoff can push the ratio past 1
+        bs = bs + [a]
+        row = _iou_row(a, *np.array(bs, dtype=np.float64).reshape(-1, 4).T)
+        want = np.array([iou(a, b) for b in bs], dtype=np.float64)
+        assert row.tobytes() == want.tobytes()
+
+
+# Multiples of 1/64 make both IoU formulas (nms's and the oracle's) exact, so
+# they agree to the bit and ties, touching edges and exact-threshold IoUs
+# actually occur.
+_dyadic = st.integers(0, 64).map(lambda k: k / 64)
+_dyadic_det = st.builds(
+    Detection,
+    cx=_dyadic, cy=_dyadic, w=_dyadic, h=_dyadic,
+    objectness=st.integers(0, 4).map(lambda k: k / 4),
+    class_score=st.integers(1, 4).map(lambda k: k / 4),
+)
+
+
+@st.composite
+def _dets_with_duplicates(draw):
+    dets = draw(st.lists(_dyadic_det, max_size=16))
+    # equal copies, not the same object: ref_nms drops every reference to
+    # the box it keeps, which would drop a re-listed object even at thr 1.0
+    copies = draw(st.lists(st.sampled_from(dets), max_size=4)) if dets else []
+    return dets + [dataclasses.replace(d) for d in copies]
+
 
 class TestNms:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _dets_with_duplicates(),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, 16).map(lambda k: k / 16)),
+    )
+    def test_matches_reference_on_lattice_boxes(self, dets, thr):
+        assert nms(dets, thr) == ref_nms(dets, thr)
+
+    def test_zero_area_boxes_never_suppress(self):
+        # union 0 between two degenerate boxes reads as IoU 0
+        a = det(w=0.0, h=0.0, obj=0.9)
+        b = det(w=0.0, h=0.0, obj=0.8)
+        c = det(w=0.0, obj=0.7)
+        assert nms([a, b, c], 0.0) == [a, b, c]
+
     def test_empty(self):
         assert nms([], 0.45) == []
 
