@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import math
 import os
+import resource
 import sys
 import time
 from dataclasses import replace
@@ -118,19 +119,26 @@ def cmd_bench(args) -> int:
     model = _load_model(args, run)
     img = _read_image(args.image)
     times = {name: [] for name in BENCH_STAGES}
+    # process-wide user s, system s and minor page faults over recorded CNN passes
+    cnn_usage = [0.0, 0.0, 0]
 
     def one_pass(record: bool) -> None:
         t0 = time.perf_counter()
         x = to_input(img)
+        r1 = resource.getrusage(resource.RUSAGE_SELF)
         t1 = time.perf_counter()
         out = forward(model, x)
         t2 = time.perf_counter()
+        r2 = resource.getrusage(resource.RUSAGE_SELF)
         detect(out, model.config, run)
         t3 = time.perf_counter()
         if record:
             times["Preprocessing"].append((t1 - t0) * 1e3)
             times["CNN"].append((t2 - t1) * 1e3)
             times["Postprocessing"].append((t3 - t2) * 1e3)
+            cnn_usage[0] += r2.ru_utime - r1.ru_utime
+            cnn_usage[1] += r2.ru_stime - r1.ru_stime
+            cnn_usage[2] += r2.ru_minflt - r1.ru_minflt
 
     one_pass(record=False)  # warm-up excluded from statistics
     for _ in range(args.iters):
@@ -150,6 +158,10 @@ def cmd_bench(args) -> int:
         headroom = math.log2(ACC_LIMIT / bound) if bound else math.inf
         print(f"{name:<8}{qmax:>8}{bound:>12}{dtype.name:>9}{headroom:>15.2f}",
               file=sys.stderr)
+    # BLAS helper threads count too, so CPU time can exceed the CNN's wall time
+    user, system, faults = (v / args.iters for v in cnn_usage)
+    print(f"CNN per pass: user_cpu_ms {user * 1e3:.3f} sys_cpu_ms {system * 1e3:.3f} "
+          f"minor_faults {faults:.1f}", file=sys.stderr)
     return 0
 
 

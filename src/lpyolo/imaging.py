@@ -122,7 +122,8 @@ def resize_nearest(img: Image, out_w: int = INPUT_SIZE, out_h: int = INPUT_SIZE)
     src = img.array()
     xs = (np.arange(out_w, dtype=np.int64) * img.width) // out_w
     ys = (np.arange(out_h, dtype=np.int64) * img.height) // out_h
-    out = src[ys][:, xs]
+    # two single-axis takes gather far faster than chained fancy indexing
+    out = np.take(np.take(src, ys, axis=0), xs, axis=1)
     return Image(width=out_w, height=out_h, pixels=out.tobytes())
 
 

@@ -12,6 +12,8 @@ provably bit-identical: both hand it the same integer accumulator values.
 
 from __future__ import annotations
 
+import math
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,6 +39,11 @@ __all__ = [
 ACC_LIMIT = 1 << 31
 
 ACTIVATIONS = ("relu", "rescaled_hardtanh")
+
+# Large temporaries of conv2d_acc and requantize (see _scratch). Per thread,
+# because a Model is shared by pipeline threads and every TCP client gets new
+# stage threads.
+_SCRATCH = threading.local()
 
 
 def sigmoid(x):
@@ -204,41 +211,80 @@ def acc_plan(in_params: QuantParams, w: ConvWeights) -> tuple[int, np.dtype]:
     raise ValueError(f"accumulator bound {bound} is not exact in float64")
 
 
-def conv2d_acc(x: QuantTensor, w: ConvWeights, pad_same: bool = True) -> np.ndarray:
-    """Integer convolution, stride 1, returning the raw accumulator.
+def _scratch(role: str, shape, dtype) -> np.ndarray:
+    """This thread's buffer for `role`, viewed as `shape` of `dtype`.
+
+    One buffer per role and thread, grown to the largest request seen and
+    reused by every later call, so a forward pass maps no fresh pages. The
+    contents are whatever the last call left; callers write before reading.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    buf = getattr(_SCRATCH, role, None)
+    if buf is None or buf.size < nbytes:
+        buf = np.empty(nbytes, dtype=np.uint8)
+        setattr(_SCRATCH, role, buf)
+    return buf[:nbytes].view(dtype).reshape(shape)
+
+
+def conv2d_acc(
+    x: QuantTensor, w: ConvWeights, pad_same: bool = True, pool_stride: int | None = None
+) -> np.ndarray:
+    """Integer convolution, stride 1, returning the raw accumulator, max-pooled
+    with `pool_stride` (see maxpool_grid) when given.
 
     Padding value is 0, the zero-point, i.e. real 0. The result is a float32
     or float64 (h, w, out) array chosen by acc_plan; it holds exact integer
-    values, bias (if any) included. Implemented as one (rows, in) @ (in, out)
-    BLAS matmul per kernel tap over the flattened padded input: rows span the
-    padded width, and the columns that wrap past the right edge are cropped.
+    values, bias (if any) included. The k horizontal taps of a kernel row
+    are folded into the contraction: row j of a (pixels, k*in) copy of the
+    flattened padded input holds pixels j..j+k-1, so each kernel row is one
+    (rows, k*in) @ (k*in, out) BLAS matmul. Rows span the padded width, and
+    the columns that wrap past the right edge are cropped.
+
+    Pooling the accumulator before requantize equals pooling its requantized
+    lattice: requantize is monotone non-decreasing (a positive float64
+    multiply, +offset, rint and clip each are), and max commutes with a
+    monotone map. -inf padding never wins, as qmin never wins on the lattice.
 
     |acc| < 2^31 is proven by the bound when it is below 2^31; only above
-    that is the accumulator scanned.
+    that is the unpooled accumulator scanned. The large temporaries live in
+    this thread's scratch (see _scratch); the returned array is never one.
     """
     k, pad = _check_conv_input(x.shape, w, pad_same)
     bound, dtype = acc_plan(x.params, w)
     h, wd, cin = x.shape
+    cout = w.out_channels
     oh, ow = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
-    pw = wd + 2 * pad
-    # one spare zero row keeps the last tap's flat slice inside the buffer
-    xp = np.zeros((h + 2 * pad + 1, pw, cin), dtype=dtype)
+    ph, pw = h + 2 * pad, wd + 2 * pad
+    # one spare row keeps the last fold row's window inside the buffer; the
+    # whole border is zeroed on every call, since scratch holds old values
+    xp = _scratch("padded", (ph + 1, pw, cin), dtype)
+    xp[:pad] = 0
+    xp[pad + h :] = 0
+    xp[pad : pad + h, :pad] = 0
+    xp[pad : pad + h, pad + wd :] = 0
     xp[pad : pad + h, pad : pad + wd] = x.grid()
-    flat = xp.reshape(-1, cin)
-    taps = w.weights.transpose(2, 3, 1, 0).astype(dtype)
+    windows = np.lib.stride_tricks.sliding_window_view(xp.reshape(-1), k * cin)[::cin]
+    fold = _scratch("fold", (ph * pw, k * cin), dtype)
+    np.copyto(fold, windows[: ph * pw])
+    taps = w.weights.transpose(2, 3, 1, 0).reshape(k, k * cin, cout).astype(dtype)
     rows = oh * pw
-    acc = flat[:rows] @ taps[0, 0]
-    for ky in range(k):
-        for kx in range(k):
-            if ky or kx:
-                off = ky * pw + kx
-                acc += flat[off : off + rows] @ taps[ky, kx]
+    acc = _scratch("acc", (rows, cout), dtype)
+    np.matmul(fold[:rows], taps[0], out=acc)
+    tmp = _scratch("tmp", (rows, cout), dtype)
+    for ky in range(1, k):
+        np.matmul(fold[ky * pw : ky * pw + rows], taps[ky], out=tmp)
+        acc += tmp
     if w.bias is not None:
-        acc += w.bias.astype(dtype)
-    acc = acc.reshape(oh, pw, w.out_channels)[:, :ow]
-    if bound >= ACC_LIMIT and float(np.abs(acc).max(initial=0)) >= ACC_LIMIT:
+        # one bias row per output row: cheaper than broadcasting a short vector
+        acc_rows = acc.reshape(oh, pw * cout)
+        acc_rows += np.tile(w.bias.astype(dtype), pw)
+    grid = acc.reshape(oh, pw, cout)[:, :ow]
+    if bound >= ACC_LIMIT and float(np.abs(grid).max(initial=0)) >= ACC_LIMIT:
         raise ValueError("accumulator overflow: |acc| reached 2^31")
-    return acc
+    if pool_stride is None:
+        return grid.copy()
+    return maxpool_grid(grid, pool_stride, pad_value=-np.inf)
 
 
 def conv2d_real(
@@ -286,9 +332,11 @@ def requantize(acc: np.ndarray, spec: RequantSpec) -> QuantTensor:
     clamp(real/4 + 1/2, 0, 1) expressed in lattice units.
 
     Accepts integer accumulators or their exact float32/float64 image; all
-    produce identical results because the multiply happens in float64.
+    produce identical results because the multiply happens in float64, in
+    this thread's scratch (see _scratch).
     """
-    r = np.multiply(acc, spec.multiplier(), dtype=np.float64)
+    r = _scratch("requant", acc.shape, np.float64)
+    np.multiply(acc, spec.multiplier(), out=r, dtype=np.float64)
     off = spec.offset()
     if off:
         r += off

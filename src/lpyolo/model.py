@@ -21,7 +21,6 @@ from .kernels import (
     acc_plan,
     conv2d_acc,
     conv2d_real,
-    maxpool,
     maxpool_grid,
     requantize,
     sigmoid,
@@ -565,14 +564,17 @@ def precision_plan(model: Model) -> list:
 
 
 def forward(model: Model, x: QuantTensor) -> QuantTensor:
-    """Integer inference: conv accumulators + requantize, pools on lattices."""
+    """Integer inference: each conv accumulator is max-pooled by the pool
+    that follows it, if any, then requantized (conv2d_acc says why that
+    order is exact)."""
     _check_input_quant(x)
-    for layer in model.layers:
+    layers = model.layers
+    for i, layer in enumerate(layers):
         if isinstance(layer, ConvLayer):
-            acc = conv2d_acc(x, layer.weights)
+            nxt = layers[i + 1] if i + 1 < len(layers) else None
+            stride = nxt.stride if isinstance(nxt, PoolLayer) else None
+            acc = conv2d_acc(x, layer.weights, pool_stride=stride)
             x = requantize(acc, layer.requant)
-        else:
-            x = maxpool(x, layer.stride)
     return x
 
 

@@ -107,31 +107,29 @@ def decode_grid(
         raise ValueError(f"grid shape {grid.shape}, expected {want}")
     if decode_mode not in ("direct", "anchor_pow2"):
         raise ValueError(f"unknown decode_mode {decode_mode!r}")
-    out = []
-    for row in range(OUTPUT_GRID):
-        for col in range(OUTPUT_GRID):
-            for a, (aw, ah) in enumerate(cfg.anchors):
-                tx, ty, tw, th, obj, cls = grid[
-                    row, col, a * FIELDS_PER_ANCHOR : (a + 1) * FIELDS_PER_ANCHOR
-                ]
-                if obj * cls < conf_threshold:
-                    continue
-                if decode_mode == "direct":
-                    w, h = tw, th
-                else:
-                    w = aw * (2.0 * tw) ** 2 / INPUT_SIZE
-                    h = ah * (2.0 * th) ** 2 / INPUT_SIZE
-                out.append(
-                    Detection(
-                        cx=(tx + col) / OUTPUT_GRID,
-                        cy=(ty + row) / OUTPUT_GRID,
-                        w=min(w, 1.0),
-                        h=min(h, 1.0),
-                        objectness=obj,
-                        class_score=cls,
-                    )
-                )
-    return out
+    fields = grid.reshape(OUTPUT_GRID, OUTPUT_GRID, len(cfg.anchors), FIELDS_PER_ANCHOR)
+    # survivors in (row, col, anchor) order; `not <` also keeps a nan score,
+    # which Detection then rejects
+    keep = ~(fields[..., 4] * fields[..., 5] < conf_threshold)
+    row, col, a = np.nonzero(keep)
+    tx, ty, tw, th, obj, cls = fields[keep].T
+    if decode_mode == "direct":
+        w, h = tw, th
+    else:
+        aw, ah = np.array(cfg.anchors, dtype=np.float64)[a].T
+        # float_power calls libm pow, as `**` on a float64 scalar does; `**`
+        # on an array squares instead, which can differ in the last bit
+        w = aw * np.float_power(2.0 * tw, 2.0) / INPUT_SIZE
+        h = ah * np.float_power(2.0 * th, 2.0) / INPUT_SIZE
+    columns = (
+        (tx + col) / OUTPUT_GRID,
+        (ty + row) / OUTPUT_GRID,
+        np.minimum(w, 1.0),
+        np.minimum(h, 1.0),
+        obj,
+        cls,
+    )
+    return [Detection(*v) for v in zip(*(c.tolist() for c in columns))]
 
 
 def iou(a, b) -> float:

@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 from lpyolo.kernels import ConvWeights, RequantSpec, conv2d_real, requantize
+from lpyolo.model import INPUT_SIZE, OUTPUT_GRID
+from lpyolo.postprocess import Detection
 from lpyolo.qcore import QuantParams, QuantTensor
 
 
@@ -36,6 +38,34 @@ def seven_loop_conv(x, w, bias=None, pad_same=True):
                     s += int(bias[oc])
                 acc[oy, ox, oc] = s
     return acc
+
+
+def ref_decode_grid(grid, cfg, conf_threshold, decode_mode="anchor_pow2"):
+    """decode_grid as a triple loop over (row, col, anchor), one scalar
+    float64 expression per value."""
+    out = []
+    for row in range(OUTPUT_GRID):
+        for col in range(OUTPUT_GRID):
+            for a, (aw, ah) in enumerate(cfg.anchors):
+                tx, ty, tw, th, obj, cls = grid[row, col, a * 6 : (a + 1) * 6]
+                if obj * cls < conf_threshold:
+                    continue
+                if decode_mode == "direct":
+                    w, h = tw, th
+                else:
+                    w = aw * (2.0 * tw) ** 2 / INPUT_SIZE
+                    h = ah * (2.0 * th) ** 2 / INPUT_SIZE
+                out.append(
+                    Detection(
+                        cx=(tx + col) / OUTPUT_GRID,
+                        cy=(ty + row) / OUTPUT_GRID,
+                        w=min(w, 1.0),
+                        h=min(h, 1.0),
+                        objectness=obj,
+                        class_score=cls,
+                    )
+                )
+    return out
 
 
 def _ref_iou(a, b):

@@ -152,7 +152,7 @@ class TestBench:
                      "--iters", "1"]) == 0
         err = capsys.readouterr().err.splitlines()
         assert err[0].split() == ["conv", "in_qmax", "acc_bound", "dtype", "headroom_bits"]
-        rows = [l.split() for l in err[1:]]
+        rows = [l.split() for l in err[1:11]]
         assert [r[0] for r in rows] == [f"conv{i}" for i in range(1, 11)]
         assert {r[3] for r in rows} == {"float32"}
         for _name, qmax, bound, _dtype, headroom in rows:
@@ -173,10 +173,21 @@ class TestBench:
                      path)
         assert main(["bench", "--weights", str(path), "--image", image,
                      "--iters", "1"]) == 0
-        rows = {l.split()[0]: l.split() for l in capsys.readouterr().err.splitlines()[1:]}
+        rows = {l.split()[0]: l.split() for l in capsys.readouterr().err.splitlines()[1:11]}
         assert rows["conv5"][3] == "float64"
         assert int(rows["conv5"][2]) >= 1 << 24
         assert rows["conv4"][3] == "float32"
+
+    def test_cnn_cpu_and_faults_per_pass(self, weights, image, capsys):
+        assert main(["bench", "--weights", weights, "--image", image,
+                     "--iters", "3"]) == 0
+        out = capsys.readouterr()
+        assert len(out.out.splitlines()) == 5
+        words = out.err.splitlines()[-1].split()
+        assert words[:3] == ["CNN", "per", "pass:"]
+        assert words[3::2] == ["user_cpu_ms", "sys_cpu_ms", "minor_faults"]
+        user, system, faults = (float(v) for v in words[4::2])
+        assert user > 0.0 and system >= 0.0 and faults >= 0.0
 
     def test_single_iter_stats_collapse(self, weights, image, capsys):
         assert main(["bench", "--weights", weights, "--image", image,

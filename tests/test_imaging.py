@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpyolo.imaging import (
     BORDER_COLOR,
@@ -133,6 +135,22 @@ class TestResize:
         img = Image(width=1, height=1, pixels=b"\x00\x00\x00")
         with pytest.raises(ValueError):
             resize_nearest(img, 0, 5)
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        src_w=st.integers(1, 40),
+        src_h=st.integers(1, 40),
+        out_w=st.integers(1, 40),
+        out_h=st.integers(1, 40),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_fancy_index_form(self, src_w, src_h, out_w, out_h, seed):
+        img = rand_image(np.random.default_rng(seed), src_w, src_h)
+        xs = (np.arange(out_w, dtype=np.int64) * src_w) // out_w
+        ys = (np.arange(out_h, dtype=np.int64) * src_h) // out_h
+        want = img.array()[ys][:, xs].tobytes()
+        assert resize_nearest(img, out_w, out_h).pixels == want
 
 
 class TestPackInput:

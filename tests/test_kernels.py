@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -363,3 +366,121 @@ class TestMaxPool:
         out = maxpool(t, stride=2)
         assert out.params == p
         assert out.shape == (2, 2, 1)
+
+
+class TestPoolBeforeRequantize:
+    """conv2d_acc pools the raw accumulator and forward requantizes after;
+    the reference order requantizes first and pools the lattice."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_matches_pooling_the_lattice(self, data):
+        activation = data.draw(st.sampled_from(["relu", "rescaled_hardtanh"]))
+        bits = data.draw(st.integers(1, 8))
+        stride = data.draw(st.sampled_from([1, 2]))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64]))
+        # power-of-two scales make acc * M exact, so ties at n + 1/2 occur
+        in_scale = 2.0 ** data.draw(st.integers(-6, 0))
+        w_scale = 2.0 ** data.draw(st.integers(-6, 0))
+        if activation == "relu":
+            out_scale = 2.0 ** data.draw(st.integers(-6, 0))
+        else:
+            out_scale = 1.0 / ((1 << bits) - 1)
+        spec = RequantSpec(in_scale, w_scale, out_scale, bits, activation)
+        m, off, qmax = spec.multiplier(), spec.offset(), spec.out_params.qmax
+        # accumulators whose image acc * M + off lands on a tie n + 1/2, or
+        # on and around the clamp edges 0 and qmax
+        targets = [n + 0.5 for n in range(-2, qmax + 2)] + [0.0, float(qmax)]
+        special = [
+            float(np.floor((t - off) / m) + d) for t in targets for d in (-1, 0, 1)
+        ]
+        special = [v for v in special if abs(v) < 1 << 24]
+        values = st.one_of(st.integers(-(1 << 20), 1 << 20), st.sampled_from(special))
+        h = data.draw(st.integers(1, 4)) * stride
+        w = data.draw(st.integers(1, 4)) * stride
+        c = data.draw(st.integers(1, 3))
+        acc = np.array(
+            data.draw(st.lists(values, min_size=h * w * c, max_size=h * w * c)),
+            dtype=dtype,
+        ).reshape(h, w, c)
+        fused = requantize(maxpool_grid(acc, stride, pad_value=-np.inf), spec)
+        reference = maxpool(requantize(acc, spec), stride)
+        assert fused.params == reference.params
+        assert fused.shape == reference.shape
+        assert np.array_equal(fused.data, reference.data)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_conv_pool_stride_pools_the_accumulator(self, stride):
+        rng = np.random.default_rng(21)
+        x = QuantTensor.from_grid(rng.integers(0, 256, (6, 8, 3)).astype(np.int32), _u8())
+        w = rng.integers(-128, 128, (4, 3, 3, 3)).astype(np.int32)
+        bias = rng.integers(-500, 500, 4).astype(np.int32)
+        cw = ConvWeights(weights=w, w_params=_wp(), bias=bias)
+        want = maxpool_grid(seven_loop_conv(x.grid(), w, bias), stride, pad_value=-(1 << 40))
+        assert np.array_equal(conv2d_acc(x, cw, pool_stride=stride), want)
+
+
+def _conv_case(rng, h, wd, cin=3, cout=4, k=3):
+    x = QuantTensor.from_grid(rng.integers(1, 256, (h, wd, cin)).astype(np.int32), _u8())
+    w = rng.integers(-128, 128, (cout, cin, k, k)).astype(np.int32)
+    bias = rng.integers(-500, 500, cout).astype(np.int32)
+    return x, ConvWeights(weights=w, w_params=_wp(), bias=bias)
+
+
+class TestScratch:
+    """conv2d_acc reuses one buffer per role and thread across calls."""
+
+    def test_held_results_stay_independent(self):
+        rng = np.random.default_rng(8)
+        (x1, cw), (x2, _) = _conv_case(rng, 6, 6), _conv_case(rng, 6, 6)
+        a = conv2d_acc(x1, cw)
+        pooled = conv2d_acc(x1, cw, pool_stride=2)
+        b = conv2d_acc(x2, cw)
+        want_a = seven_loop_conv(x1.grid(), cw.weights, cw.bias)
+        assert np.array_equal(a, want_a)
+        assert np.array_equal(pooled, maxpool_grid(want_a, 2))
+        assert np.array_equal(b, seven_loop_conv(x2.grid(), cw.weights, cw.bias))
+        assert not np.shares_memory(a, b)
+
+    def test_alternating_padding_with_colliding_shapes(self):
+        # a 5x6 input padded for 'same' and a 7x8 input unpadded both fill a
+        # 7x8 padded buffer: the border must not keep the other call's pixels
+        rng = np.random.default_rng(9)
+        for i in range(6):
+            pad_same = i % 2 == 0
+            x, cw = _conv_case(rng, 5, 6) if pad_same else _conv_case(rng, 7, 8)
+            want = seven_loop_conv(x.grid(), cw.weights, cw.bias, pad_same)
+            assert np.array_equal(conv2d_acc(x, cw, pad_same), want)
+
+    def test_threads_interleaving_calls_are_exact(self):
+        # four threads switching every 10 µs, each with its own shapes
+        rng = np.random.default_rng(10)
+        cases = [[_conv_case(rng, 4 + t, 9 - t, k=k) for k in (1, 3)] for t in range(4)]
+        wants = [
+            [seven_loop_conv(x.grid(), cw.weights, cw.bias) for x, cw in thread_cases]
+            for thread_cases in cases
+        ]
+        errors = []
+
+        def work(t):
+            try:
+                for n in range(60):
+                    x, cw = cases[t][n % 2]
+                    if not np.array_equal(conv2d_acc(x, cw), wants[t][n % 2]):
+                        errors.append((t, n))
+            except Exception as e:  # reported by the assertion below
+                errors.append((t, repr(e)))
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            workers = [threading.Thread(target=work, args=(t,)) for t in range(1, 4)]
+            for th in workers:
+                th.start()
+            work(0)
+            for th in workers:
+                th.join(timeout=60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not any(th.is_alive() for th in workers)
+        assert errors == []

@@ -1,4 +1,6 @@
 import json
+import resource
+import threading
 
 import numpy as np
 import pytest
@@ -229,6 +231,27 @@ class TestForward:
         out_ref = forward_float(m, xf, mode="fake_quant")
         ref_q = np.rint(out_ref.data / PIXEL_SCALE).astype(np.int32)
         assert np.array_equal(out_int.data, ref_q)
+
+    def test_steady_state_worker_maps_no_fresh_pages(self):
+        # pipeline threads run forward off the main thread; once warm, a
+        # pass must reuse its memory rather than fault in fresh pages
+        m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        x = u8_input(np.random.default_rng(2))
+        faults = []
+
+        def work():
+            for _ in range(3):
+                forward(m, x)
+            before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+            for _ in range(5):
+                forward(m, x)
+            faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert faults and faults[0] / 5 <= 10
 
     def test_pure_float_midpoint_and_range(self):
         cfg = ModelConfig(weight_bits=4, act_bits=4)

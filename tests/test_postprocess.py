@@ -1,4 +1,5 @@
 import dataclasses
+import struct
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from lpyolo.postprocess import (
 )
 from lpyolo.qcore import QuantParams, QuantTensor
 
-from oracles import ref_nms
+from oracles import ref_decode_grid, ref_nms
 
 CFG = ModelConfig(weight_bits=4, act_bits=4)
 
@@ -164,6 +165,40 @@ class TestDecode:
     def test_unknown_mode(self):
         with pytest.raises(ValueError):
             decode_grid(np.zeros((13, 13, 18)), CFG, 0.5, decode_mode="nope")
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        lattice=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+        mode=st.sampled_from(["direct", "anchor_pow2"]),
+        pick=st.integers(0, 13 * 13 * 3 - 1),
+        fixed=st.sampled_from([None, 0.0, 0.25, 1.0]),
+        anchors=st.lists(
+            st.tuples(st.floats(1.0, 416.0), st.floats(1.0, 416.0)), min_size=3, max_size=3
+        ),
+    )
+    def test_matches_loop_reference(self, lattice, seed, mode, pick, fixed, anchors):
+        rng = np.random.default_rng(seed)
+        if lattice:
+            g = rng.integers(0, 256, size=(13, 13, 18)) * PIXEL_SCALE
+        else:
+            g = rng.uniform(0.0, 1.0, size=(13, 13, 18))
+        cfg = ModelConfig(weight_bits=4, act_bits=4, anchors=tuple(anchors))
+        # a threshold equal to one anchor's obj * cls product: kept (not <)
+        cell = g.reshape(-1, 6)[pick]
+        thr = cell[4] * cell[5] if fixed is None else fixed
+        got = decode_grid(g, cfg, thr, mode)
+        want = ref_decode_grid(g, cfg, thr, mode)
+
+        def bits(dets):
+            return [
+                struct.pack("<6d", d.cx, d.cy, d.w, d.h, d.objectness, d.class_score)
+                for d in dets
+            ]
+
+        assert bits(got) == bits(want)
+        if fixed is None:
+            assert len(got) >= 1
 
 
 class TestIou:
