@@ -193,8 +193,8 @@ def cmd_serve(args) -> int:
         run,
         on_bound=lambda addr: print(f"listening on {addr[0]}:{addr[1]}", flush=True),
     )
-    fps = stats.frames / stats.wall_seconds if stats.wall_seconds > 0 else 0.0
-    print(f"served {stats.frames} frames in {stats.wall_seconds:.2f}s ({fps:.2f} fps)")
+    print(f"served {stats.frames} frames in {stats.wall_seconds:.2f}s "
+          f"({stats.fps:.2f} fps)")
     return 0
 
 

@@ -182,15 +182,13 @@ class RequantSpec:
         return 0.5 / self.out_scale
 
 
-def _check_conv_input(x_shape, w: ConvWeights, pad_same: bool):
+def _check_conv_input(x_shape, w: ConvWeights):
     h, wd, c = x_shape
     if c != w.in_channels:
         raise ValueError(f"input channels {c} != weight channels {w.in_channels}")
-    k = w.kernel
-    pad = k // 2 if pad_same else 0
-    if h + 2 * pad < k or wd + 2 * pad < k:
-        raise ValueError(f"input {h}x{wd} smaller than {k}x{k} kernel")
-    return k, pad
+    if h < 1 or wd < 1:
+        raise ValueError(f"empty {h}x{wd} input")
+    return w.kernel, w.kernel // 2
 
 
 def acc_plan(in_params: QuantParams, w: ConvWeights) -> tuple[int, np.dtype]:
@@ -228,18 +226,19 @@ def _scratch(role: str, shape, dtype) -> np.ndarray:
 
 
 def conv2d_acc(
-    x: QuantTensor, w: ConvWeights, pad_same: bool = True, pool_stride: int | None = None
+    x: QuantTensor, w: ConvWeights, pool_stride: int | None = None
 ) -> np.ndarray:
-    """Integer convolution, stride 1, returning the raw accumulator, max-pooled
-    with `pool_stride` (see maxpool_grid) when given.
+    """Integer 'same' convolution, stride 1, returning the raw accumulator,
+    max-pooled with `pool_stride` (see maxpool_grid) when given.
 
-    Padding value is 0, the zero-point, i.e. real 0. The result is a float32
-    or float64 (h, w, out) array chosen by acc_plan; it holds exact integer
-    values, bias (if any) included. The k horizontal taps of a kernel row
-    are folded into the contraction: row j of a (pixels, k*in) copy of the
-    flattened padded input holds pixels j..j+k-1, so each kernel row is one
-    (rows, k*in) @ (k*in, out) BLAS matmul. Rows span the padded width, and
-    the columns that wrap past the right edge are cropped.
+    Padding is k // 2 on each side, of value 0, the zero-point, i.e. real 0.
+    The result is a float32 or float64 (h, w, out) array chosen by acc_plan;
+    it holds exact integer values, bias (if any) included. The k horizontal
+    taps of a kernel row are folded into the contraction: row j of a
+    (pixels, k*in) copy of the flattened padded input holds pixels j..j+k-1,
+    so each kernel row is one (rows, k*in) @ (k*in, out) BLAS matmul. Rows
+    span the padded width, and the columns that wrap past the right edge
+    are cropped.
 
     Pooling the accumulator before requantize equals pooling its requantized
     lattice: requantize is monotone non-decreasing (a positive float64
@@ -250,11 +249,10 @@ def conv2d_acc(
     that is the unpooled accumulator scanned. The large temporaries live in
     this thread's scratch (see _scratch); the returned array is never one.
     """
-    k, pad = _check_conv_input(x.shape, w, pad_same)
+    k, pad = _check_conv_input(x.shape, w)
     bound, dtype = acc_plan(x.params, w)
     h, wd, cin = x.shape
     cout = w.out_channels
-    oh, ow = h + 2 * pad - k + 1, wd + 2 * pad - k + 1
     ph, pw = h + 2 * pad, wd + 2 * pad
     # one spare row keeps the last fold row's window inside the buffer; the
     # whole border is zeroed on every call, since scratch holds old values
@@ -268,7 +266,7 @@ def conv2d_acc(
     fold = _scratch("fold", (ph * pw, k * cin), dtype)
     np.copyto(fold, windows[: ph * pw])
     taps = w.weights.transpose(2, 3, 1, 0).reshape(k, k * cin, cout).astype(dtype)
-    rows = oh * pw
+    rows = h * pw
     acc = _scratch("acc", (rows, cout), dtype)
     np.matmul(fold[:rows], taps[0], out=acc)
     tmp = _scratch("tmp", (rows, cout), dtype)
@@ -277,9 +275,9 @@ def conv2d_acc(
         acc += tmp
     if w.bias is not None:
         # one bias row per output row: cheaper than broadcasting a short vector
-        acc_rows = acc.reshape(oh, pw * cout)
+        acc_rows = acc.reshape(h, pw * cout)
         acc_rows += np.tile(w.bias.astype(dtype), pw)
-    grid = acc.reshape(oh, pw, cout)[:, :ow]
+    grid = acc.reshape(h, pw, cout)[:, :wd]
     if bound >= ACC_LIMIT and float(np.abs(grid).max(initial=0)) >= ACC_LIMIT:
         raise ValueError("accumulator overflow: |acc| reached 2^31")
     if pool_stride is None:
@@ -288,12 +286,9 @@ def conv2d_acc(
 
 
 def conv2d_real(
-    x: np.ndarray,
-    weights: np.ndarray,
-    bias: np.ndarray | None = None,
-    pad_same: bool = True,
+    x: np.ndarray, weights: np.ndarray, bias: np.ndarray | None = None
 ) -> np.ndarray:
-    """Float64 convolution over raw (h, w, c) / [out][in][kh][kw] arrays.
+    """Float64 'same' convolution over raw (h, w, c) / [out][in][kh][kw] arrays.
 
     The carrier of the fake-quant and pure-float reference passes; on real
     weights it is the unquantized baseline. On integer-valued inputs it is
@@ -306,10 +301,9 @@ def conv2d_real(
     out_ch, in_ch, kh, kw = wt.shape
     if x.shape[2] != in_ch:
         raise ValueError(f"input channels {x.shape[2]} != weight channels {in_ch}")
-    pad = kh // 2 if pad_same else 0
-    if pad:
-        x = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
-    oh, ow = x.shape[0] - kh + 1, x.shape[1] - kw + 1
+    oh, ow = x.shape[0], x.shape[1]
+    pad = kh // 2
+    x = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
     acc = np.zeros((oh, ow, out_ch))
     for ky in range(kh):
         for kx in range(kw):

@@ -1,5 +1,6 @@
-"""The detector network: a 16-layer graph (10 quantized convolutions, 6 max
-pools) shrinking 416x416x3 RGB input to a 13x13x18 prediction grid.
+"""The detector network: ten fused steps (a quantized convolution, the 2x2
+max pool that follows convs 1..6, then requantize) shrinking 416x416x3 RGB
+input to a 13x13x18 prediction grid.
 
 Owns bit-width configuration (m-bit weights, n-bit activations, with the
 first and last convolutions pinned to 8 bits), weight file serialization,
@@ -10,6 +11,7 @@ in integer, fake-quant, and pure-float modes.
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -31,7 +33,6 @@ __all__ = [
     "ModelConfig",
     "RunConfig",
     "ConvLayer",
-    "PoolLayer",
     "Model",
     "WeightFile",
     "LayerRecord",
@@ -147,15 +148,30 @@ class RunConfig:
     decode_mode: str = "anchor_pow2"
 
     def __post_init__(self) -> None:
-        if not 0.0 <= self.conf_threshold:
-            raise ValueError(f"conf_threshold {self.conf_threshold} negative")
-        if not 0.0 <= self.nms_iou <= 1.0:
-            raise ValueError(f"nms_iou {self.nms_iou} outside [0, 1]")
+        # values arrive from JSON, so each is checked for type before use
+        for key in ("weight_bits", "act_bits"):
+            v = getattr(self, key)
+            if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
+                raise ValueError(f"{key} must be an integer or null, got {v!r}")
+        conf = _finite_number("conf_threshold", self.conf_threshold)
+        if conf < 0.0:
+            raise ValueError(f"conf_threshold {conf} negative")
+        iou = _finite_number("nms_iou", self.nms_iou)
+        if not 0.0 <= iou <= 1.0:
+            raise ValueError(f"nms_iou {iou} outside [0, 1]")
         if self.decode_mode not in DECODE_MODES:
             raise ValueError(f"unknown decode_mode {self.decode_mode!r}")
-        object.__setattr__(
-            self, "anchors", tuple((float(w), float(h)) for w, h in self.anchors)
-        )
+        pairs = self.anchors
+        if not (
+            isinstance(pairs, (list, tuple))
+            and len(pairs) == 3
+            and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)
+        ):
+            raise ValueError(f"anchors must be 3 [w, h] pairs, got {pairs!r}")
+        anchors = tuple(tuple(_finite_number("anchors", v) for v in p) for p in pairs)
+        object.__setattr__(self, "conf_threshold", conf)
+        object.__setattr__(self, "nms_iou", iou)
+        object.__setattr__(self, "anchors", anchors)
 
     def model_config(self, file_wbits: int, file_abits: int) -> ModelConfig:
         """Resolve bit widths against a weight file's header; explicit
@@ -170,6 +186,19 @@ class RunConfig:
         return ModelConfig(weight_bits=wb, act_bits=ab, anchors=self.anchors)
 
 
+def _finite_number(key: str, value) -> float:
+    """value as a finite float; ValueError naming key for anything else,
+    bool, string and an int beyond float range included."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    try:
+        v = float(value) if number else math.nan
+    except OverflowError:
+        v = math.inf
+    if not math.isfinite(v):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
+    return v
+
+
 _RUN_CONFIG_KEYS = {
     "weight_bits",
     "act_bits",
@@ -182,7 +211,10 @@ _RUN_CONFIG_KEYS = {
 
 def load_run_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
-        raw = json.load(f)
+        try:
+            raw = json.load(f)
+        except RecursionError:
+            raise ValueError("run config nests too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError("run config must be a JSON object")
     unknown = sorted(set(raw) - _RUN_CONFIG_KEYS)
@@ -193,26 +225,32 @@ def load_run_config(path) -> RunConfig:
 
 @dataclass(frozen=True)
 class ConvLayer:
+    """One step: convolution, the 2x2 max pool of stride pool_stride (None:
+    no pool), then requantize."""
+
     name: str
     weights: ConvWeights
     requant: RequantSpec
-
-
-@dataclass(frozen=True)
-class PoolLayer:
-    name: str
-    stride: int
+    pool_stride: int | None
 
 
 @dataclass(frozen=True)
 class Model:
-    """Immutable built network; safe to share across worker threads."""
+    """Immutable built network, the ten conv steps forward runs; safe to
+    share across worker threads."""
 
     config: ModelConfig
     layers: tuple = field(repr=False)
 
     def conv_layers(self) -> list:
-        return [l for l in self.layers if isinstance(l, ConvLayer)]
+        """The steps as a list (every layer is a conv step). Kept because the
+        benchmark's output check, perfbench/check.py, calls it."""
+        return list(self.layers)
+
+
+def _pool_stride(index: int) -> int | None:
+    """Stride of the pool fused into conv `index` (1-based), None past conv6."""
+    return POOL_STRIDES[index - 1] if index <= len(POOL_STRIDES) else None
 
 
 def plan_shapes() -> list:
@@ -225,8 +263,8 @@ def plan_shapes() -> list:
             raise AssertionError(f"conv{i} plan expects {cin} channels, chain has {c}")
         rows.append((f"conv{i}", (h, w, c), (h, w, cout)))
         c = cout
-        if i <= len(POOL_STRIDES):
-            stride = POOL_STRIDES[i - 1]
+        stride = _pool_stride(i)
+        if stride is not None:
             oh, ow = (h // 2, w // 2) if stride == 2 else (h, w)
             rows.append((f"pool{i}", (h, w, c), (oh, ow, c)))
             h, w = oh, ow
@@ -243,51 +281,41 @@ def _layer_bits(cfg: ModelConfig, index: int) -> tuple[int, int]:
 
 
 def validate_model(model: Model) -> None:
-    """Walk the layer list against the static plan; raise naming the first
-    offending layer. Covers shapes, kernels, bit widths, activation kinds,
-    and exact scale-chain continuity."""
-    expected = plan_shapes()
-    if len(model.layers) != len(expected):
-        raise ValueError(
-            f"layer count {len(model.layers)} != {len(expected)}"
-        )
-    convs = model.conv_layers()
-    if len(convs) != len(CONV_PLAN):
-        raise ValueError(f"conv count {len(convs)} != {len(CONV_PLAN)}")
-    conv_index = 0
-    prev_out_scale = None
-    for layer, (name, in_shape, out_shape) in zip(model.layers, expected):
+    """Walk the conv steps against the static plan; raise naming the first
+    offending layer. Covers shapes, kernels, pool strides, bit widths,
+    activation kinds, and exact scale-chain continuity from 1/255 to 1/255."""
+    if len(model.layers) != len(CONV_PLAN):
+        raise ValueError(f"layer count {len(model.layers)} != {len(CONV_PLAN)}")
+    in_scale = PIXEL_SCALE
+    for i, (layer, (cin, cout, k)) in enumerate(zip(model.layers, CONV_PLAN), start=1):
+        name = f"conv{i}"
         if layer.name != name:
             raise ValueError(f"layer {layer.name} where {name} expected")
-        if isinstance(layer, PoolLayer):
-            if layer.stride != POOL_STRIDES[int(name[4:]) - 1]:
-                raise ValueError(f"{name}: wrong stride {layer.stride}")
-            continue
-        conv_index += 1
-        cin, cout, k = CONV_PLAN[conv_index - 1]
         w = layer.weights
         if (w.in_channels, w.out_channels, w.kernel) != (cin, cout, k):
             raise ValueError(
                 f"{name}: weights {w.in_channels}->{w.out_channels} k={w.kernel}, "
                 f"plan wants {cin}->{cout} k={k}"
             )
-        wbits, abits = _layer_bits(model.config, conv_index)
+        if layer.pool_stride != _pool_stride(i):
+            raise ValueError(
+                f"{name}: pool stride {layer.pool_stride}, plan wants {_pool_stride(i)}"
+            )
+        wbits, abits = _layer_bits(model.config, i)
         if w.w_params.bits != wbits:
             raise ValueError(f"{name}: weight bits {w.w_params.bits} != {wbits}")
         if layer.requant.out_bits != abits:
             raise ValueError(f"{name}: act bits {layer.requant.out_bits} != {abits}")
-        want_act = "rescaled_hardtanh" if conv_index == len(CONV_PLAN) else "relu"
+        want_act = "rescaled_hardtanh" if i == len(CONV_PLAN) else "relu"
         if layer.requant.activation != want_act:
             raise ValueError(f"{name}: activation {layer.requant.activation}")
         if layer.requant.w_scale != w.w_params.scale:
             raise ValueError(f"{name}: weight scale mismatch")
-        if conv_index == 1:
-            if layer.requant.in_scale != PIXEL_SCALE:
-                raise ValueError(f"{name}: input scale must be 1/255 exactly")
-        elif layer.requant.in_scale != prev_out_scale:
-            raise ValueError(f"{name}: input scale breaks the chain")
-        prev_out_scale = layer.requant.out_scale
-    if convs[-1].requant.out_scale != PIXEL_SCALE:
+        if layer.requant.in_scale != in_scale:
+            want = "1/255 exactly" if i == 1 else f"conv{i - 1}'s output scale"
+            raise ValueError(f"{name}: input scale must be {want}")
+        in_scale = layer.requant.out_scale
+    if in_scale != PIXEL_SCALE:
         raise ValueError("final output scale must be 1/255 exactly")
 
 
@@ -440,7 +468,6 @@ def build_model(cfg: ModelConfig, wf: WeightFile) -> Model:
     if len(wf.records) != len(CONV_PLAN):
         raise LayerCountError(f"{len(wf.records)} layer records")
     layers = []
-    prev_out = None
     for i, rec in enumerate(wf.records, start=1):
         name = f"conv{i}"
         cin, cout, k = CONV_PLAN[i - 1]
@@ -455,8 +482,6 @@ def build_model(cfg: ModelConfig, wf: WeightFile) -> Model:
         out_scale = rec.out_scale
         if i == 1:
             in_scale = _restore_exact_scale(in_scale, PIXEL_SCALE, f"{name} input")
-        elif in_scale != prev_out:
-            raise ValueError(f"{name}: input scale differs from conv{i-1} output")
         if last:
             out_scale = _restore_exact_scale(out_scale, PIXEL_SCALE, f"{name} output")
         try:
@@ -474,10 +499,7 @@ def build_model(cfg: ModelConfig, wf: WeightFile) -> Model:
             out_bits=abits,
             activation="rescaled_hardtanh" if last else "relu",
         )
-        layers.append(ConvLayer(name=name, weights=weights, requant=requant))
-        if i <= len(POOL_STRIDES):
-            layers.append(PoolLayer(name=f"pool{i}", stride=POOL_STRIDES[i - 1]))
-        prev_out = out_scale
+        layers.append(ConvLayer(name, weights, requant, _pool_stride(i)))
     model = Model(config=cfg, layers=tuple(layers))
     validate_model(model)
     return model
@@ -564,17 +586,14 @@ def precision_plan(model: Model) -> list:
 
 
 def forward(model: Model, x: QuantTensor) -> QuantTensor:
-    """Integer inference: each conv accumulator is max-pooled by the pool
-    that follows it, if any, then requantized (conv2d_acc says why that
-    order is exact)."""
+    """Integer inference: each step's conv accumulator is max-pooled by the
+    step's pool, if any, then requantized (conv2d_acc says why that order is
+    exact)."""
     _check_input_quant(x)
-    layers = model.layers
-    for i, layer in enumerate(layers):
-        if isinstance(layer, ConvLayer):
-            nxt = layers[i + 1] if i + 1 < len(layers) else None
-            stride = nxt.stride if isinstance(nxt, PoolLayer) else None
-            acc = conv2d_acc(x, layer.weights, pool_stride=stride)
-            x = requantize(acc, layer.requant)
+    for layer in model.layers:
+        x = requantize(
+            conv2d_acc(x, layer.weights, pool_stride=layer.pool_stride), layer.requant
+        )
     return x
 
 
@@ -598,13 +617,10 @@ def forward_float(model: Model, x: FloatTensor, mode: str = "fake_quant") -> Flo
     if grid.min() < 0.0 or grid.max() > 1.0:
         raise ValueError("float input must lie in [0, 1]")
 
-    if mode == "pure_float":
-        for layer in model.layers:
-            if isinstance(layer, PoolLayer):
-                grid = maxpool_grid(grid, layer.stride, pad_value=0.0)
-                continue
-            w = layer.weights
-            rq = layer.requant
+    for layer in model.layers:
+        w = layer.weights
+        rq = layer.requant
+        if mode == "pure_float":
             wreal = w.weights.astype(np.float64) * rq.w_scale
             breal = None
             if w.bias is not None:
@@ -614,22 +630,14 @@ def forward_float(model: Model, x: FloatTensor, mode: str = "fake_quant") -> Flo
                 grid = np.maximum(acc, 0.0)
             else:
                 grid = sigmoid(acc)
-        h, wd, c = grid.shape
-        return FloatTensor(shape=(h, wd, c), data=grid.reshape(-1))
-
-    for layer in model.layers:
-        if isinstance(layer, PoolLayer):
-            grid = maxpool_grid(grid, layer.stride, pad_value=0.0)
-            continue
-        rq = layer.requant
-        # snap the real carrier back onto the input lattice (exact recovery)
-        q_in = np.clip(np.rint(grid / rq.in_scale), 0, None)
-        acc = conv2d_real(
-            q_in,
-            layer.weights.weights,
-            None if layer.weights.bias is None else layer.weights.bias,
-        )
-        q_out = requantize(acc, rq)
-        grid = q_out.grid().astype(np.float64) * rq.out_scale
+        else:
+            # snap the real carrier back onto the input lattice (exact recovery)
+            q_in = np.clip(np.rint(grid / rq.in_scale), 0, None)
+            q_out = requantize(conv2d_real(q_in, w.weights, w.bias), rq)
+            grid = q_out.grid().astype(np.float64) * rq.out_scale
+        # pooling after the activation or requantize is the unfused order, so
+        # fake_quant checks forward's pool-then-requantize independently
+        if layer.pool_stride is not None:
+            grid = maxpool_grid(grid, layer.pool_stride, pad_value=0.0)
     h, wd, c = grid.shape
     return FloatTensor(shape=(h, wd, c), data=grid.reshape(-1))

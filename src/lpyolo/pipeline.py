@@ -65,6 +65,11 @@ _PAYLOAD_LEN = struct.Struct("<I")
 # it keeps memory growing only with the bytes that actually arrive.
 MAX_READ = 1 << 20
 
+# Seconds a send to a client may block. A client that stops reading without
+# closing would otherwise stall the whole pipeline; past this it is dropped
+# like a client that disconnected.
+SEND_TIMEOUT_S = 30.0
+
 
 class WireError(ValueError):
     pass
@@ -375,9 +380,10 @@ def run_pipeline(source, model: Model, sink, cfg: PipelineConfig | None = None,
 def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
               run_cfg: RunConfig | None = None, on_bound=None) -> PipelineStats:
     """Serve encoded frames to one client at a time until the source runs
-    out. A client that dies mid-stream is logged and dropped; the next
-    accepted client resumes from wherever the shared source iterator
-    stopped (frames in flight during the failure are not replayed).
+    out. A client that dies mid-stream, or whose send blocks longer than
+    SEND_TIMEOUT_S, is logged and dropped; the next accepted client resumes
+    from wherever the shared source iterator stopped (frames in flight
+    during the failure are not replayed).
     Frame ids number source frames, so they keep counting across a client
     swap. Returns the stats of the run that exhausted the source.
     """
@@ -391,6 +397,7 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
             on_bound(srv.getsockname())
         while True:
             conn, peer = srv.accept()
+            conn.settimeout(SEND_TIMEOUT_S)
             log.info("client %s connected", peer)
             try:
                 sink = _socket_sink(conn)

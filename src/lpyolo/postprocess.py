@@ -285,11 +285,14 @@ def parse_widerface_gt(path) -> GroundTruthSet:
                 raise ValueError(f"line {i + 1}: expected at least x y w h")
             try:
                 x, y, w, h = (int(t) for t in toks[:4])
+                box = (float(x), float(y), float(w), float(h))
             except ValueError:
                 raise ValueError(f"line {i + 1}: non-integer box fields") from None
+            except OverflowError:
+                raise ValueError(f"line {i + 1}: box field beyond float range") from None
             if w <= 0 or h <= 0:
                 raise ValueError(f"line {i + 1}: degenerate box {w}x{h}")
-            items.append((float(x), float(y), float(w), float(h)))
+            items.append(box)
             i += 1
         if count == 0 and i < len(lines) and _is_zero_placeholder(lines[i]):
             i += 1

@@ -14,13 +14,13 @@ from lpyolo.postprocess import Detection
 from lpyolo.qcore import QuantParams, QuantTensor
 
 
-def seven_loop_conv(x, w, bias=None, pad_same=True):
-    """Naive convolution: seven explicit loops, stride 1."""
+def seven_loop_conv(x, w, bias=None):
+    """Naive 'same' convolution: seven explicit loops, stride 1."""
     x = np.asarray(x)
     w = np.asarray(w)
     out_ch, in_ch, kh, kw = w.shape
     h, wd, _ = x.shape
-    pad = kh // 2 if pad_same else 0
+    pad = kh // 2
     oh, ow = h + 2 * pad - kh + 1, wd + 2 * pad - kw + 1
     acc = np.zeros((oh, ow, out_ch), dtype=np.int64)
     for oy in range(oh):

@@ -11,7 +11,8 @@ import pytest
 import lpyolo
 from lpyolo.cli import main
 from lpyolo.imaging import Image, read_ppm, write_ppm
-from lpyolo.model import ModelConfig, build_model, load_weights, random_init, save_weights
+from lpyolo.model import (ModelConfig, build_model, load_run_config, load_weights,
+                          random_init, save_weights)
 from lpyolo.pipeline import read_frame
 
 
@@ -117,6 +118,26 @@ class TestInfer:
                      "--out", str(tmp_path / "o.ppm"), "--config", str(cfgp)])
         assert code == 2
         assert "config" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key, value", [
+        ("nms_iou", "0.5"),
+        ("anchors", 5),
+        ("anchors", [[81, 82], [135, 169], [344, "319"]]),
+        ("conf_threshold", [1]),
+        ("conf_threshold", float("nan")),
+        ("weight_bits", 4.0),
+        ("act_bits", True),
+    ])
+    def test_wrongly_typed_config_value_exit_2(self, weights, image, tmp_path, capsys,
+                                               key, value):
+        cfgp = tmp_path / "run.json"
+        cfgp.write_text(json.dumps({key: value}))
+        with pytest.raises(ValueError, match=f"{key} must be"):
+            load_run_config(cfgp)
+        code = main(["infer", "--weights", weights, "--image", image,
+                     "--out", str(tmp_path / "o.ppm"), "--config", str(cfgp)])
+        assert code == 2
+        assert key in capsys.readouterr().err
 
     def test_config_bits_must_match_file(self, weights, image, tmp_path, capsys):
         cfgp = tmp_path / "run.json"

@@ -3,7 +3,7 @@ import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from lpyolo.kernels import (
@@ -171,13 +171,9 @@ class TestConv:
         cout=st.integers(1, 3),
         h=st.integers(1, 6),
         wd=st.integers(1, 6),
-        pad_same=st.booleans(),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_exact_for_every_bit_config(
-        self, wbits, abits, k, cin, cout, h, wd, pad_same, seed
-    ):
-        assume(pad_same or (h >= k and wd >= k))
+    def test_exact_for_every_bit_config(self, wbits, abits, k, cin, cout, h, wd, seed):
         rng = np.random.default_rng(seed)
         wp, ap = _wp(bits=wbits), QuantParams(bits=abits, signed=False, scale=1.0)
         x = QuantTensor.from_grid(
@@ -186,9 +182,7 @@ class TestConv:
         w = rng.integers(wp.qmin, wp.qmax + 1, size=(cout, cin, k, k)).astype(np.int32)
         bias = rng.integers(-1000, 1001, size=cout).astype(np.int32)
         cw = ConvWeights(weights=w, w_params=wp, bias=bias)
-        assert np.array_equal(
-            conv2d_acc(x, cw, pad_same), seven_loop_conv(x.grid(), w, bias, pad_same)
-        )
+        assert np.array_equal(conv2d_acc(x, cw), seven_loop_conv(x.grid(), w, bias))
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize(
@@ -443,14 +437,14 @@ class TestScratch:
         assert not np.shares_memory(a, b)
 
     def test_alternating_padding_with_colliding_shapes(self):
-        # a 5x6 input padded for 'same' and a 7x8 input unpadded both fill a
-        # 7x8 padded buffer: the border must not keep the other call's pixels
+        # a 5x6 input under a 3x3 kernel (padded to 7x8) and a 7x8 input under
+        # a 1x1 kernel (no padding) both fill the same 8x8 padded buffer, one
+        # spare row included: the border must not keep the other call's pixels
         rng = np.random.default_rng(9)
         for i in range(6):
-            pad_same = i % 2 == 0
-            x, cw = _conv_case(rng, 5, 6) if pad_same else _conv_case(rng, 7, 8)
-            want = seven_loop_conv(x.grid(), cw.weights, cw.bias, pad_same)
-            assert np.array_equal(conv2d_acc(x, cw, pad_same), want)
+            x, cw = _conv_case(rng, 5, 6) if i % 2 == 0 else _conv_case(rng, 7, 8, k=1)
+            want = seven_loop_conv(x.grid(), cw.weights, cw.bias)
+            assert np.array_equal(conv2d_acc(x, cw), want)
 
     def test_threads_interleaving_calls_are_exact(self):
         # four threads switching every 10 µs, each with its own shapes

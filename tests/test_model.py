@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import resource
 import threading
@@ -10,6 +11,7 @@ from lpyolo.model import (
     PIXEL_SCALE,
     BadMagicError,
     BitWidthError,
+    ConvLayer,
     LayerCountError,
     LayerRecord,
     ModelConfig,
@@ -194,6 +196,34 @@ class TestRandomInit:
     def test_no_bias_option(self):
         m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0, with_bias=False)
         assert all(c.weights.bias is None for c in m.conv_layers())
+
+    def test_layers_are_ten_conv_steps_with_fused_pools(self):
+        m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        assert all(type(l) is ConvLayer for l in m.layers)
+        assert [l.name for l in m.layers] == [f"conv{i}" for i in range(1, 11)]
+        assert tuple(l.pool_stride for l in m.layers) == (
+            2, 2, 2, 2, 2, 1, None, None, None, None
+        )
+
+
+class TestValidateModel:
+    def _with_step(self, index, **changes):
+        m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        layers = list(m.layers)
+        layers[index] = dataclasses.replace(layers[index], **changes)
+        return dataclasses.replace(m, layers=tuple(layers))
+
+    @pytest.mark.parametrize("index, stride", [(0, 1), (5, 2), (5, None), (6, 2)])
+    def test_rejects_wrong_pool_stride(self, index, stride):
+        with pytest.raises(ValueError, match=f"conv{index + 1}: pool stride"):
+            validate_model(self._with_step(index, pool_stride=stride))
+
+    @pytest.mark.parametrize("index", [0, 4, 9])
+    def test_rejects_broken_scale_chain(self, index):
+        m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        rq = dataclasses.replace(m.layers[index].requant, in_scale=0.75)
+        with pytest.raises(ValueError, match=f"conv{index + 1}: input scale"):
+            validate_model(self._with_step(index, requant=rq))
 
 
 class TestForward:

@@ -8,6 +8,7 @@ import time
 import numpy as np
 import pytest
 
+from lpyolo import pipeline
 from lpyolo.cli import main
 from lpyolo.imaging import Image, to_input, write_ppm
 from lpyolo.model import ModelConfig, RunConfig, forward, random_init, save_weights
@@ -403,3 +404,42 @@ class TestServeTcp:
         assert ids == list(range(ids[0], 32))
         assert ids[0] > 0  # strictly after what client one consumed
         assert result["stats"].frames == len(second_msgs)
+
+    def test_stalled_client_is_dropped(self, model, monkeypatch):
+        # the first client connects and never reads; once the socket buffers
+        # fill, its send times out and the next client gets the stream tail
+        monkeypatch.setattr(pipeline, "SEND_TIMEOUT_S", 0.5, raising=False)
+        n = 32
+        img = rand_image(np.random.default_rng(3), 640, 480)
+        bound = {}
+        ready = threading.Event()
+
+        def on_bound(addr):
+            bound["addr"] = addr
+            ready.set()
+
+        result = {}
+
+        def serve():
+            result["stats"] = serve_tcp(
+                ("127.0.0.1", 0), [img] * n, model,
+                cfg=PipelineConfig(queue_capacity=1), on_bound=on_bound,
+            )
+
+        # daemon: a server stuck on the stalled client must not outlive the run
+        t = threading.Thread(target=serve, daemon=True)
+        t.start()
+        assert ready.wait(5)
+        stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+        stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+        stalled.connect(bound["addr"])
+        try:
+            with socket.create_connection(bound["addr"], timeout=20) as cli:
+                msgs = _read_all(cli)
+            t.join(timeout=20)
+        finally:
+            stalled.close()
+        assert not t.is_alive()
+        ids = [m.frame_id for m in msgs]
+        assert ids and ids == list(range(ids[0], n))
+        assert result["stats"].frames == len(msgs)

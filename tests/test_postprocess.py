@@ -450,6 +450,10 @@ class TestWiderfaceParse:
         with pytest.raises(ValueError, match="non-integer"):
             self._parse(tmp_path, "a.jpg\n1\n1 2 x 4\n")
 
+    def test_box_beyond_float_range(self, tmp_path):
+        with pytest.raises(ValueError, match="line 3: box field beyond float range"):
+            self._parse(tmp_path, f"a.jpg\n1\n1 2 {'9' * 400} 4\n")
+
     def test_degenerate_box(self, tmp_path):
         with pytest.raises(ValueError, match="degenerate"):
             self._parse(tmp_path, "a.jpg\n1\n1 2 0 4\n")
