@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import io
 import logging
-import math
 import queue
 import socket
 import struct
@@ -96,9 +95,10 @@ class PipelineError(RuntimeError):
 
 @dataclass(frozen=True)
 class FrameMessage:
-    """One annotated frame. Detection tuples are stored at 32-bit float
-    precision (what the wire carries), so encode/decode round-trips are
-    identities."""
+    """One annotated frame. Each detection is 6 numbers in wire order
+    (cx, cy, w, h, objectness, class_score), such as a postprocess
+    Detection. They are stored as tuples of 32-bit float values (what the
+    wire carries), so encode/decode round-trips are identities."""
 
     frame_id: int
     width: int
@@ -117,15 +117,12 @@ class FrameMessage:
             raise ValueError(
                 f"payload {len(self.payload)} bytes, want {3 * self.width * self.height}"
             )
-        dets = []
-        for d in self.detections:
-            if len(d) != 6:
-                raise ValueError("detections must be 6-tuples")
-            vals = tuple(float(np.float32(v)) for v in d)
-            if not all(math.isfinite(v) for v in vals):
-                raise ValueError(f"non-finite detection {d}")
-            dets.append(vals)
-        object.__setattr__(self, "detections", tuple(dets))
+        dets = np.array(self.detections, dtype=np.float32)
+        if self.detections and dets.shape[1:] != (6,):
+            raise ValueError("detections must be 6-tuples")
+        if not np.isfinite(dets).all():
+            raise ValueError("non-finite detection at float32 precision")
+        object.__setattr__(self, "detections", tuple(map(tuple, dets.tolist())))
 
 
 @dataclass(frozen=True)
@@ -151,21 +148,13 @@ class PipelineStats:
 
 
 def encode_frame(msg: FrameMessage) -> bytes:
-    out = bytearray()
-    out += _HEAD.pack(
-        WIRE_MAGIC,
-        WIRE_VERSION,
-        MSG_FRAME,
-        msg.frame_id,
-        msg.width,
-        msg.height,
-        len(msg.detections),
-    )
-    for d in msg.detections:
-        out += _DET.pack(*d)
-    out += _PAYLOAD_LEN.pack(len(msg.payload))
-    out += msg.payload
-    return bytes(out)
+    return b"".join((
+        _HEAD.pack(WIRE_MAGIC, WIRE_VERSION, MSG_FRAME, msg.frame_id, msg.width,
+                   msg.height, len(msg.detections)),
+        np.array(msg.detections, dtype="<f4").tobytes(),
+        _PAYLOAD_LEN.pack(len(msg.payload)),
+        msg.payload,
+    ))
 
 
 def encode_end() -> bytes:
@@ -201,9 +190,7 @@ def read_frame(f):
         return None
     if msg_type != MSG_FRAME:
         raise WireError(f"unknown message type {msg_type}")
-    dets = []
-    for _ in range(ndet):
-        dets.append(_DET.unpack(_read_exact(f, _DET.size)))
+    dets = tuple(_DET.iter_unpack(_read_exact(f, ndet * _DET.size)))
     (payload_len,) = _PAYLOAD_LEN.unpack(_read_exact(f, _PAYLOAD_LEN.size))
     if payload_len != 3 * width * height:
         raise WireLengthError(
@@ -214,7 +201,7 @@ def read_frame(f):
         frame_id=frame_id,
         width=width,
         height=height,
-        detections=tuple(dets),
+        detections=dets,
         payload=payload,
     )
 
@@ -343,9 +330,7 @@ def _build_stages(model: Model, run_cfg: RunConfig, sink):
             frame_id=frame_id,
             width=img.width,
             height=img.height,
-            detections=tuple(
-                (d.cx, d.cy, d.w, d.h, d.objectness, d.class_score) for d in dets
-            ),
+            detections=tuple(dets),
             payload=img.pixels,
         )
 
@@ -419,7 +404,19 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
 
 
 def _socket_sink(conn: socket.socket):
+    """Send each message to conn. After a failed send the stream may end
+    inside a message, so no end marker follows: the client could not parse
+    it, and a stalled client would hold the stream for another timeout."""
+    failed = False
+
     def sink(msg):
-        conn.sendall(encode_end() if msg is None else encode_frame(msg))
+        nonlocal failed
+        if msg is None and failed:
+            return
+        try:
+            conn.sendall(encode_end() if msg is None else encode_frame(msg))
+        except OSError:
+            failed = True
+            raise
 
     return sink

@@ -10,8 +10,8 @@ activation.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -35,9 +35,11 @@ __all__ = [
 FIELDS_PER_ANCHOR = 6
 
 
-@dataclass(frozen=True)
-class Detection:
-    """One box, center-form, normalized to [0,1] of the frame size."""
+class Detection(NamedTuple):
+    """One box, center-form, normalized to [0,1] of the frame size. The
+    fields are in wire order, so a Detection is the record a frame message
+    carries. Values are not checked here: `decode_grid` checks its grid,
+    and `FrameMessage` checks what it is given."""
 
     cx: float
     cy: float
@@ -45,12 +47,6 @@ class Detection:
     h: float
     objectness: float
     class_score: float
-
-    def __post_init__(self) -> None:
-        for name in ("cx", "cy", "w", "h", "objectness", "class_score"):
-            v = getattr(self, name)
-            if not (math.isfinite(v) and 0.0 <= v <= 1.0):
-                raise ValueError(f"{name}={v} outside [0, 1]")
 
     @property
     def score(self) -> float:
@@ -99,18 +95,22 @@ def decode_grid(
     anchor_pow2 keeps anchors meaningful although the squashed outputs can
     never express an exponential size term; p=0.5 reproduces the anchor
     itself. Sizes clamp to [0,1]. Kept detections need
-    objectness * class_score >= conf_threshold.
+    objectness * class_score >= conf_threshold. Every grid value must be in
+    [0, 1]; NaN is rejected too.
     """
     grid = np.asarray(grid, dtype=np.float64)
     want = (OUTPUT_GRID, OUTPUT_GRID, OUTPUT_CHANNELS)
     if grid.shape != want:
         raise ValueError(f"grid shape {grid.shape}, expected {want}")
+    if not ((grid >= 0.0) & (grid <= 1.0)).all():
+        raise ValueError("grid values outside [0, 1]")
     if decode_mode not in ("direct", "anchor_pow2"):
         raise ValueError(f"unknown decode_mode {decode_mode!r}")
+    # with every input in [0, 1], every decoded value is too: cx and cy are
+    # (t + cell) / 13 with cell <= 12, sizes clamp to 1, anchors are > 0
     fields = grid.reshape(OUTPUT_GRID, OUTPUT_GRID, len(cfg.anchors), FIELDS_PER_ANCHOR)
-    # survivors in (row, col, anchor) order; `not <` also keeps a nan score,
-    # which Detection then rejects
-    keep = ~(fields[..., 4] * fields[..., 5] < conf_threshold)
+    # survivors in (row, col, anchor) order
+    keep = fields[..., 4] * fields[..., 5] >= conf_threshold
     row, col, a = np.nonzero(keep)
     tx, ty, tw, th, obj, cls = fields[keep].T
     if decode_mode == "direct":
@@ -121,15 +121,12 @@ def decode_grid(
         # on an array squares instead, which can differ in the last bit
         w = aw * np.float_power(2.0 * tw, 2.0) / INPUT_SIZE
         h = ah * np.float_power(2.0 * th, 2.0) / INPUT_SIZE
-    columns = (
-        (tx + col) / OUTPUT_GRID,
-        (ty + row) / OUTPUT_GRID,
-        np.minimum(w, 1.0),
-        np.minimum(h, 1.0),
-        obj,
-        cls,
+    boxes = np.stack(
+        ((tx + col) / OUTPUT_GRID, (ty + row) / OUTPUT_GRID,
+         np.minimum(w, 1.0), np.minimum(h, 1.0), obj, cls),
+        axis=1,
     )
-    return [Detection(*v) for v in zip(*(c.tolist() for c in columns))]
+    return list(map(Detection._make, boxes.tolist()))
 
 
 def iou(a, b) -> float:
@@ -175,9 +172,7 @@ def nms(dets: list, iou_threshold: float) -> list:
     of what remains, so it is kept and suppresses the alive boxes after it.
     """
     ranked = sorted(dets, key=_nms_key)
-    cx, cy, w, h = np.array(
-        [(d.cx, d.cy, d.w, d.h) for d in ranked], dtype=np.float64
-    ).reshape(-1, 4).T
+    cx, cy, w, h = np.array(ranked, dtype=np.float64).reshape(-1, 6)[:, :4].T
     x, y = cx - w / 2.0, cy - h / 2.0
     alive = np.ones(len(ranked), dtype=bool)
     kept = []

@@ -14,6 +14,7 @@ import pytest
 from lpyolo.cli import main
 from lpyolo.imaging import Image, to_input
 from lpyolo.model import ModelConfig, RunConfig, forward, random_init, save_weights
+from lpyolo.pipeline import run_pipeline
 from lpyolo.postprocess import detect
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
@@ -43,10 +44,24 @@ def test_stream_frames_match_refs(bench, name):
         img = Image(workloads.STREAM_WIDTH, workloads.STREAM_HEIGHT,
                     workloads.stream_frame(check.REF_SEED, i))
         dets = detect(forward(model, to_input(img)), model.config, run)
-        got = check.det_digest(
-            (d.cx, d.cy, d.w, d.h, d.objectness, d.class_score) for d in dets
-        )
-        assert got == refs[name]["frames"][i], f"{name} frame {i}"
+        assert check.det_digest(dets) == refs[name]["frames"][i], f"{name} frame {i}"
+
+
+@pytest.mark.parametrize("name", ["stream-backlog", "stream-paced"])
+def test_pipeline_messages_match_refs(bench, name):
+    # the stages and FrameMessage a served client reads, not only detect()
+    check, workloads, refs = bench
+    wl = workloads.WORKLOADS[name]
+    model = random_init(ModelConfig(wl.bits, wl.bits), workloads.WEIGHT_SEED)
+    frames = [Image(workloads.STREAM_WIDTH, workloads.STREAM_HEIGHT,
+                    workloads.stream_frame(check.REF_SEED, i)) for i in range(FRAMES)]
+    msgs = []
+    run_pipeline(frames, model, msgs.append, run_cfg=RunConfig(conf_threshold=wl.conf))
+    assert msgs.pop() is None
+    assert [m.frame_id for m in msgs] == list(range(FRAMES))
+    for i, msg in enumerate(msgs):
+        assert check.det_digest(msg.detections) == refs[name]["frames"][i], f"{name} frame {i}"
+        assert msg.payload == frames[i].pixels
 
 
 def test_first_eval_call_matches_refs(bench, tmp_path, capsys):

@@ -1,5 +1,6 @@
 import io
 import itertools
+import math
 import socket
 import struct
 import threading
@@ -7,6 +8,8 @@ import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lpyolo import pipeline
 from lpyolo.cli import main
@@ -54,6 +57,22 @@ def rand_image(rng, w=64, h=48):
     )
 
 
+# Finite doubles round to float32 inf from max + half an ulp up; half the
+# smallest float32 subnormal rounds to 0.
+F32_MAX = float(np.finfo(np.float32).max)
+F32_EDGE = 3.4028235677973366e38
+F32_TINY = float(np.finfo(np.float32).smallest_subnormal)
+_det_value = st.one_of(
+    st.floats(),
+    st.floats(width=32),
+    st.integers(-(2**1023), 2**1023),
+    st.sampled_from([
+        0.0, -0.0, F32_MAX, F32_EDGE, math.nextafter(F32_EDGE, 0.0), -F32_EDGE,
+        F32_TINY, F32_TINY / 2, math.nextafter(F32_TINY / 2, 1.0), 5e-324,
+    ]),
+)
+
+
 class TestFrameMessage:
     def test_payload_length_checked(self):
         with pytest.raises(ValueError, match="payload"):
@@ -75,10 +94,46 @@ class TestFrameMessage:
     def test_detection_arity_checked(self):
         with pytest.raises(ValueError, match="6-tuple"):
             frame_msg(dets=((1.0, 2.0, 3.0),))
+        for dets in (
+            ((0.5,) * 5,),
+            ((0.5,) * 7,),
+            ((0.5,) * 6, (0.5,) * 5),
+            ((0.5,) * 6, (0.5,) * 7),
+            ((),),
+        ):
+            with pytest.raises(ValueError):
+                frame_msg(dets=dets)
+        with pytest.raises(ValueError, match="6-tuple"):
+            # six numbers, but not a sequence of 6-tuples
+            frame_msg(dets=(0.5, 0.5, 0.25, 0.25, 0.9, 0.8))
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError, match="non-finite"):
             frame_msg(dets=((float("inf"), 0, 0, 0, 0, 0),))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.lists(st.tuples(*[_det_value] * 6), max_size=4))
+    def test_coercion_matches_per_value_rule(self, dets):
+        def per_value(d):
+            vals = tuple(float(np.float32(v)) for v in d)
+            if not all(math.isfinite(v) for v in vals):
+                raise ValueError(d)
+            return vals
+
+        with np.errstate(over="ignore"):
+            try:
+                want = [per_value(d) for d in dets]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    frame_msg(dets=dets)
+                return
+            got = frame_msg(dets=dets).detections
+
+        def bits(rows):
+            return [struct.pack("<6d", *r) for r in rows]
+
+        assert all(type(v) is float for row in got for v in row)
+        assert bits(got) == bits(want)
 
 
 class TestWire:
@@ -324,6 +379,29 @@ def _read_all(sock):
 
 
 class TestServeTcp:
+    def test_no_end_marker_after_failed_send(self):
+        class Conn:
+            def __init__(self, fail):
+                self.fail = fail
+                self.sent = []
+
+            def sendall(self, data):
+                self.sent.append(data)
+                if self.fail:
+                    raise TimeoutError("timed out")
+
+        stalled = Conn(fail=True)
+        sink = pipeline._socket_sink(stalled)
+        with pytest.raises(TimeoutError):
+            sink(frame_msg())
+        sink(None)
+        assert len(stalled.sent) == 1
+        healthy = Conn(fail=False)
+        sink = pipeline._socket_sink(healthy)
+        sink(frame_msg())
+        sink(None)
+        assert healthy.sent == [encode_frame(frame_msg()), encode_end()]
+
     def test_single_client_gets_everything(self, model):
         rng = np.random.default_rng(1)
         imgs = [rand_image(rng, 32, 32) for _ in range(3)]

@@ -1,4 +1,3 @@
-import dataclasses
 import struct
 
 import numpy as np
@@ -56,14 +55,6 @@ class TestDetection:
     def test_score(self):
         d = det(obj=0.5, cls=0.4)
         assert d.score == pytest.approx(0.2)
-
-    def test_range_validation(self):
-        with pytest.raises(ValueError):
-            det(cx=1.5)
-        with pytest.raises(ValueError):
-            det(obj=-0.1)
-        with pytest.raises(ValueError):
-            Detection(cx=float("nan"), cy=0.5, w=0.1, h=0.1, objectness=1, class_score=1)
 
     def test_to_pixel_box(self):
         d = det(cx=0.5, cy=0.5, w=0.25, h=0.5)
@@ -166,6 +157,17 @@ class TestDecode:
         with pytest.raises(ValueError):
             decode_grid(np.zeros((13, 13, 18)), CFG, 0.5, decode_mode="nope")
 
+    def test_rejects_grid_outside_unit_range(self):
+        # one kept cell (6, 6, 0); cell (2, 3, 1) is below the threshold
+        g = self._grid_one_cell(6, 6, 0, [0.5, 0.5, 0.5, 0.5, 1.0, 1.0])
+        assert len(decode_grid(g, CFG, conf_threshold=0.5)) == 1
+        for bad in (float("nan"), -0.1, 1.5):
+            for row, col, ch in ((6, 6, 0), (6, 6, 4), (2, 3, 6), (2, 3, 10)):
+                bent = g.copy()
+                bent[row, col, ch] = bad
+                with pytest.raises(ValueError, match=r"outside \[0, 1\]"):
+                    decode_grid(bent, CFG, conf_threshold=0.5)
+
     @settings(max_examples=80, deadline=None)
     @given(
         lattice=st.booleans(),
@@ -256,7 +258,7 @@ def _dets_with_duplicates(draw):
     # equal copies, not the same object: ref_nms drops every reference to
     # the box it keeps, which would drop a re-listed object even at thr 1.0
     copies = draw(st.lists(st.sampled_from(dets), max_size=4)) if dets else []
-    return dets + [dataclasses.replace(d) for d in copies]
+    return dets + [Detection(*d) for d in copies]
 
 
 class TestNms:
