@@ -25,6 +25,7 @@ from . import folding
 from .imaging import draw_detections, list_frames, read_ppm, to_input, write_ppm
 from .kernels import ACC_LIMIT
 from .model import (
+    DECODE_MODES,
     Model,
     ModelConfig,
     RunConfig,
@@ -266,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--conf", type=float, help="confidence threshold override")
             sp.add_argument("--nms-iou", type=float, dest="nms_iou",
                             help="NMS IoU threshold override")
-            sp.add_argument("--decode-mode", choices=("direct", "anchor_pow2"),
+            sp.add_argument("--decode-mode", choices=DECODE_MODES,
                             dest="decode_mode", help="box size decode override")
 
     sp = sub.add_parser("infer", help="detect faces in one PPM image")

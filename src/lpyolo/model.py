@@ -13,7 +13,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -35,7 +35,6 @@ __all__ = [
     "ConvLayer",
     "Model",
     "WeightFile",
-    "LayerRecord",
     "WeightFileError",
     "BadMagicError",
     "TruncatedFileError",
@@ -49,6 +48,7 @@ __all__ = [
     "OUTPUT_CHANNELS",
     "PIXEL_SCALE",
     "DEFAULT_ANCHORS",
+    "DECODE_MODES",
     "plan_shapes",
     "precision_plan",
     "build_model",
@@ -199,16 +199,6 @@ def _finite_number(key: str, value) -> float:
     return v
 
 
-_RUN_CONFIG_KEYS = {
-    "weight_bits",
-    "act_bits",
-    "anchors",
-    "conf_threshold",
-    "nms_iou",
-    "decode_mode",
-}
-
-
 def load_run_config(path) -> RunConfig:
     with open(path, "r", encoding="utf-8") as f:
         try:
@@ -217,7 +207,7 @@ def load_run_config(path) -> RunConfig:
             raise ValueError("run config nests too deeply") from None
     if not isinstance(raw, dict):
         raise ValueError("run config must be a JSON object")
-    unknown = sorted(set(raw) - _RUN_CONFIG_KEYS)
+    unknown = sorted(set(raw) - {f.name for f in fields(RunConfig)})
     if unknown:
         raise ValueError(f"unknown run config keys: {', '.join(unknown)}")
     return RunConfig(**raw)
@@ -273,11 +263,29 @@ def plan_shapes() -> list:
     return rows
 
 
-def _layer_bits(cfg: ModelConfig, index: int) -> tuple[int, int]:
-    """(weight_bits, output act_bits) for conv `index` (1-based)."""
+def _layer_bits(weight_bits: int, act_bits: int, index: int) -> tuple[int, int]:
+    """(weight_bits, output act_bits) for conv `index` (1-based) of a
+    weight_bits/act_bits model."""
     if index in (1, len(CONV_PLAN)):
         return FIRST_LAST_BITS, FIRST_LAST_BITS
-    return cfg.weight_bits, cfg.act_bits
+    return weight_bits, act_bits
+
+
+def _conv_step(index: int, weight_bits: int, act_bits: int, weights: np.ndarray,
+               bias: np.ndarray | None, w_scale: float, in_scale: float,
+               out_scale: float) -> ConvLayer:
+    """Conv `index` (1-based) of a weight_bits/act_bits model as the step
+    forward runs; bit widths, activation and pool stride follow from the
+    position. Raises ValueError naming the layer."""
+    name = f"conv{index}"
+    wbits, abits = _layer_bits(weight_bits, act_bits, index)
+    activation = "rescaled_hardtanh" if index == len(CONV_PLAN) else "relu"
+    try:
+        conv = ConvWeights(weights, QuantParams(bits=wbits, signed=True, scale=w_scale), bias)
+        requant = RequantSpec(in_scale, w_scale, out_scale, abits, activation)
+    except ValueError as e:
+        raise ValueError(f"{name}: {e}") from e
+    return ConvLayer(name, conv, requant, _pool_stride(index))
 
 
 def validate_model(model: Model) -> None:
@@ -301,7 +309,7 @@ def validate_model(model: Model) -> None:
             raise ValueError(
                 f"{name}: pool stride {layer.pool_stride}, plan wants {_pool_stride(i)}"
             )
-        wbits, abits = _layer_bits(model.config, i)
+        wbits, abits = _layer_bits(model.config.weight_bits, model.config.act_bits, i)
         if w.w_params.bits != wbits:
             raise ValueError(f"{name}: weight bits {w.w_params.bits} != {wbits}")
         if layer.requant.out_bits != abits:
@@ -336,23 +344,12 @@ _LAYER_HEAD = struct.Struct("<BBHHfffB")
 
 
 @dataclass(frozen=True)
-class LayerRecord:
-    index: int
-    kernel: int
-    in_ch: int
-    out_ch: int
-    w_scale: float
-    in_scale: float
-    out_scale: float
-    weights: np.ndarray = field(repr=False)
-    bias: np.ndarray | None = field(repr=False, default=None)
-
-
-@dataclass(frozen=True)
 class WeightFile:
+    """A parsed weight file: its header's bit widths and its ten conv steps."""
+
     weight_bits: int
     act_bits: int
-    records: tuple
+    layers: tuple
 
 
 def save_weights(model: Model, path) -> None:
@@ -397,6 +394,10 @@ class _Reader:
 
 
 def load_weights(path) -> WeightFile:
+    """Parse a weight file into its conv steps. Checks the format, each
+    layer's weight range for the declared bits and the exact 1/255 boundary
+    scales; build_model checks the steps against the plan. Every rejection
+    is a WeightFileError."""
     with open(path, "rb") as f:
         blob = f.read()
     r = _Reader(blob)
@@ -411,7 +412,7 @@ def load_weights(path) -> WeightFile:
         raise BitWidthError(f"activation bit width {abits} outside 1..8")
     if count != len(CONV_PLAN):
         raise LayerCountError(f"layer count {count}, expected {len(CONV_PLAN)}")
-    records = []
+    layers = []
     for n in range(1, count + 1):
         idx, kernel, in_ch, out_ch, ws, ins, outs, bias_flag = _LAYER_HEAD.unpack(
             r.take(_LAYER_HEAD.size)
@@ -431,22 +432,17 @@ def load_weights(path) -> WeightFile:
         bias = None
         if bias_flag:
             bias = np.frombuffer(r.take(4 * out_ch), dtype="<i4").astype(np.int32)
-        records.append(
-            LayerRecord(
-                index=idx,
-                kernel=kernel,
-                in_ch=in_ch,
-                out_ch=out_ch,
-                w_scale=float(ws),
-                in_scale=float(ins),
-                out_scale=float(outs),
-                weights=weights,
-                bias=bias,
-            )
-        )
+        if n == 1:
+            ins = _restore_exact_scale(ins, PIXEL_SCALE, f"conv{n} input")
+        if n == count:
+            outs = _restore_exact_scale(outs, PIXEL_SCALE, f"conv{n} output")
+        try:
+            layers.append(_conv_step(n, wbits, abits, weights, bias, ws, ins, outs))
+        except ValueError as e:
+            raise WeightFileError(str(e)) from e
     if r.pos != len(blob):
         raise WeightFileError(f"{len(blob) - r.pos} trailing bytes after last layer")
-    return WeightFile(weight_bits=wbits, act_bits=abits, records=tuple(records))
+    return WeightFile(weight_bits=wbits, act_bits=abits, layers=tuple(layers))
 
 
 def _restore_exact_scale(stored: float, exact: float, what: str) -> float:
@@ -454,53 +450,13 @@ def _restore_exact_scale(stored: float, exact: float, what: str) -> float:
     as exact 1/255. Accept the 32-bit rounding of it, hand back the exact
     64-bit value."""
     if stored != float(np.float32(exact)):
-        raise ValueError(f"{what}: stored scale {stored!r} is not 1/255")
+        raise WeightFileError(f"{what}: stored scale {stored!r} is not 1/255")
     return exact
 
 
 def build_model(cfg: ModelConfig, wf: WeightFile) -> Model:
-    """Assemble and fully validate a model from parsed weight records."""
-    if (cfg.weight_bits, cfg.act_bits) != (wf.weight_bits, wf.act_bits):
-        raise ValueError(
-            f"config {cfg.weight_bits}W{cfg.act_bits}A != weight file "
-            f"{wf.weight_bits}W{wf.act_bits}A"
-        )
-    if len(wf.records) != len(CONV_PLAN):
-        raise LayerCountError(f"{len(wf.records)} layer records")
-    layers = []
-    for i, rec in enumerate(wf.records, start=1):
-        name = f"conv{i}"
-        cin, cout, k = CONV_PLAN[i - 1]
-        if (rec.in_ch, rec.out_ch, rec.kernel) != (cin, cout, k):
-            raise ValueError(
-                f"{name}: file has {rec.in_ch}->{rec.out_ch} k={rec.kernel}, "
-                f"plan wants {cin}->{cout} k={k}"
-            )
-        wbits, abits = _layer_bits(cfg, i)
-        last = i == len(CONV_PLAN)
-        in_scale = rec.in_scale
-        out_scale = rec.out_scale
-        if i == 1:
-            in_scale = _restore_exact_scale(in_scale, PIXEL_SCALE, f"{name} input")
-        if last:
-            out_scale = _restore_exact_scale(out_scale, PIXEL_SCALE, f"{name} output")
-        try:
-            weights = ConvWeights(
-                weights=rec.weights,
-                w_params=QuantParams(bits=wbits, signed=True, scale=rec.w_scale),
-                bias=rec.bias,
-            )
-        except ValueError as e:
-            raise ValueError(f"{name}: {e}") from e
-        requant = RequantSpec(
-            in_scale=in_scale,
-            w_scale=rec.w_scale,
-            out_scale=out_scale,
-            out_bits=abits,
-            activation="rescaled_hardtanh" if last else "relu",
-        )
-        layers.append(ConvLayer(name, weights, requant, _pool_stride(i)))
-    model = Model(config=cfg, layers=tuple(layers))
+    """The model of cfg running wf's conv steps, validated against the plan."""
+    model = Model(config=cfg, layers=tuple(wf.layers))
     validate_model(model)
     return model
 
@@ -514,27 +470,28 @@ def random_init(cfg: ModelConfig, seed: int, with_bias: bool = True) -> Model:
 
     Scales are chosen so mid-lattice activation values actually occur (a
     crude variance-preserving heuristic), and are rounded through 32 bits
-    up front so a save/load round trip is bit-exact.
+    up front so a save/load round trip is bit-exact; the two boundary
+    scales are the exact 1/255 a load restores.
     """
     rng = np.random.default_rng(seed)
-    records = []
+    layers = []
     in_scale = _f32(PIXEL_SCALE)
     for i, (cin, cout, k) in enumerate(CONV_PLAN, start=1):
-        wbits, abits = _layer_bits(cfg, i)
+        wbits, abits = _layer_bits(cfg.weight_bits, cfg.act_bits, i)
         last = i == len(CONV_PLAN)
         wp = QuantParams(bits=wbits, signed=True, scale=1.0)
         n = cin * k * k
         weights = rng.integers(wp.qmin, wp.qmax + 1, size=(cout, cin, k, k))
         jitter = 2.0 ** rng.uniform(-0.5, 0.5)
         w_scale = _f32(jitter / (wp.qmax * np.sqrt(n)))
-        in_bits = 8 if i == 1 else _layer_bits(cfg, i - 1)[1]
+        in_bits = 8 if i == 1 else _layer_bits(cfg.weight_bits, cfg.act_bits, i - 1)[1]
         in_qmax = (1 << in_bits) - 1
         acc_real_std = np.sqrt(n) * (in_qmax * in_scale / 2.0) * (
             wp.qmax * w_scale / np.sqrt(3.0)
         )
         out_qmax = (1 << abits) - 1
         if last:
-            out_scale = _f32(PIXEL_SCALE)
+            out_scale = PIXEL_SCALE
         else:
             out_scale = _f32(max(3.5 * acc_real_std / out_qmax, 1e-12))
         bias = None
@@ -542,21 +499,13 @@ def random_init(cfg: ModelConfig, seed: int, with_bias: bool = True) -> Model:
             acc_std = np.sqrt(n) * (in_qmax / 2.0) * (wp.qmax / np.sqrt(3.0))
             b = max(1, int(acc_std / 4.0))
             bias = rng.integers(-b, b + 1, size=cout).astype(np.int32)
-        records.append(
-            LayerRecord(
-                index=i,
-                kernel=k,
-                in_ch=cin,
-                out_ch=cout,
-                w_scale=w_scale,
-                in_scale=in_scale,
-                out_scale=out_scale,
-                weights=weights.astype(np.int32),
-                bias=bias,
-            )
-        )
+        # conv1 reads the exact pixel lattice; the arithmetic above uses its
+        # 32-bit copy, as the recorded benchmark files were made with it
+        step_in = PIXEL_SCALE if i == 1 else in_scale
+        layers.append(_conv_step(i, cfg.weight_bits, cfg.act_bits, weights.astype(np.int32),
+                                 bias, w_scale, step_in, out_scale))
         in_scale = out_scale
-    return build_model(cfg, WeightFile(cfg.weight_bits, cfg.act_bits, tuple(records)))
+    return build_model(cfg, WeightFile(cfg.weight_bits, cfg.act_bits, tuple(layers)))
 
 
 # ---------------------------------------------------------------------------

@@ -197,13 +197,10 @@ def read_frame(f):
             f"payload length {payload_len} != 3*{width}*{height}"
         )
     payload = _read_exact(f, payload_len)
-    return FrameMessage(
-        frame_id=frame_id,
-        width=width,
-        height=height,
-        detections=dets,
-        payload=payload,
-    )
+    try:
+        return FrameMessage(frame_id, width, height, dets, payload)
+    except ValueError as e:  # a non-finite detection; the header fits by construction
+        raise WireError(str(e)) from e
 
 
 def decode_frame(data: bytes):

@@ -15,7 +15,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import INPUT_SIZE, OUTPUT_CHANNELS, OUTPUT_GRID, PIXEL_SCALE, ModelConfig, RunConfig
+from .model import (DECODE_MODES, INPUT_SIZE, OUTPUT_CHANNELS, OUTPUT_GRID, PIXEL_SCALE,
+                    ModelConfig, RunConfig)
 from .qcore import QuantTensor
 
 __all__ = [
@@ -104,7 +105,7 @@ def decode_grid(
         raise ValueError(f"grid shape {grid.shape}, expected {want}")
     if not ((grid >= 0.0) & (grid <= 1.0)).all():
         raise ValueError("grid values outside [0, 1]")
-    if decode_mode not in ("direct", "anchor_pow2"):
+    if decode_mode not in DECODE_MODES:
         raise ValueError(f"unknown decode_mode {decode_mode!r}")
     # with every input in [0, 1], every decoded value is too: cx and cy are
     # (t + cell) / 13 with cell <= 12, sizes clamp to 1, anchors are > 0

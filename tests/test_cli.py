@@ -11,8 +11,7 @@ import pytest
 import lpyolo
 from lpyolo.cli import main
 from lpyolo.imaging import Image, read_ppm, write_ppm
-from lpyolo.model import (ModelConfig, build_model, load_run_config, load_weights,
-                          random_init, save_weights)
+from lpyolo.model import ModelConfig, load_run_config, random_init, save_weights
 from lpyolo.pipeline import read_frame
 
 
@@ -183,15 +182,12 @@ class TestBench:
     def test_precision_plan_shows_float64(self, tmp_path, image, capsys):
         # a conv5 bias of 2^24 alone puts its bound past float32
         model = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
-        save_weights(model, tmp_path / "base.lpyq")
-        wf = load_weights(tmp_path / "base.lpyq")
-        recs = list(wf.records)
-        recs[4] = dataclasses.replace(
-            recs[4], bias=np.full(recs[4].out_ch, 1 << 24, dtype=np.int32)
-        )
+        steps = list(model.layers)
+        w = steps[4].weights
+        wide = dataclasses.replace(w, bias=np.full(w.out_channels, 1 << 24, dtype=np.int32))
+        steps[4] = dataclasses.replace(steps[4], weights=wide)
         path = tmp_path / "wide.lpyq"
-        save_weights(build_model(model.config, dataclasses.replace(wf, records=tuple(recs))),
-                     path)
+        save_weights(dataclasses.replace(model, layers=tuple(steps)), path)
         assert main(["bench", "--weights", str(path), "--image", image,
                      "--iters", "1"]) == 0
         rows = {l.split()[0]: l.split() for l in capsys.readouterr().err.splitlines()[1:11]}

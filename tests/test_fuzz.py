@@ -3,7 +3,9 @@ frames, wire messages, annotation files, folding specs and run configs.
 
 Each case starts from a valid file and applies byte flips, cuts and
 insertions of tokens that break naive number handling. A parser may reject
-the result only with a ValueError subclass; any other exception fails.
+the result only with a ValueError subclass, and the weight-file and wire
+parsers only with their own WeightFileError and WireError; any other
+exception fails.
 Inputs stay small, so a forged size field has to be rejected from the
 header rather than by allocating what it claims.
 """
@@ -17,8 +19,9 @@ from hypothesis import strategies as st
 
 from lpyolo.folding import parse_folding_spec
 from lpyolo.imaging import read_ppm
-from lpyolo.model import ModelConfig, load_run_config, load_weights, random_init, save_weights
-from lpyolo.pipeline import FrameMessage, encode_end, encode_frame, read_frame
+from lpyolo.model import (ModelConfig, WeightFileError, load_run_config, load_weights, random_init,
+                          save_weights)
+from lpyolo.pipeline import FrameMessage, WireError, encode_end, encode_frame, read_frame
 from lpyolo.postprocess import parse_widerface_gt
 
 TOKENS = (
@@ -76,6 +79,9 @@ def _valid_inputs(tmp_path) -> dict:
     }
 
 
+# the error each parser may raise; any other is a failure
+ALLOWED_ERRORS = {"weights": WeightFileError, "wire": WireError}
+
 FILE_PARSERS = {
     "weights": load_weights,
     "ppm": read_ppm,
@@ -112,5 +118,5 @@ def test_only_value_errors_escape(valid, name, ops):
     tmp, inputs = valid
     try:
         _parse(name, mutate(inputs[name], ops), tmp)
-    except ValueError:
+    except ALLOWED_ERRORS.get(name, ValueError):
         pass

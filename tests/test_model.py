@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import resource
 import threading
@@ -9,11 +10,11 @@ import pytest
 from lpyolo.model import (
     CONV_PLAN,
     PIXEL_SCALE,
+    POOL_STRIDES,
     BadMagicError,
     BitWidthError,
     ConvLayer,
     LayerCountError,
-    LayerRecord,
     ModelConfig,
     RunConfig,
     TruncatedFileError,
@@ -29,6 +30,7 @@ from lpyolo.model import (
     save_weights,
     validate_model,
 )
+from lpyolo.kernels import ConvWeights, RequantSpec
 from lpyolo.qcore import FloatTensor, QuantParams, QuantTensor
 
 F32_PIXEL = float(np.float32(1.0 / 255.0))
@@ -43,28 +45,52 @@ def u8_input(rng=None, fill=None):
     return QuantTensor.from_grid(g, p)
 
 
-def zero_weight_records():
-    """Handmade records: all-zero weights, no bias, simple interior scales."""
-    records = []
-    in_scale = F32_PIXEL
+def zero_weight_steps():
+    """Handmade 4W4A conv steps: all-zero weights, no bias, simple interior
+    scales."""
+    steps = []
+    in_scale = PIXEL_SCALE
     for i, (cin, cout, k) in enumerate(CONV_PLAN, start=1):
         last = i == len(CONV_PLAN)
-        out_scale = F32_PIXEL if last else 0.5
-        records.append(
-            LayerRecord(
-                index=i,
-                kernel=k,
-                in_ch=cin,
-                out_ch=cout,
-                w_scale=0.25,
-                in_scale=in_scale,
-                out_scale=out_scale,
-                weights=np.zeros((cout, cin, k, k), dtype=np.int32),
-                bias=None,
-            )
+        bits = 8 if i in (1, len(CONV_PLAN)) else 4
+        out_scale = PIXEL_SCALE if last else 0.5
+        weights = ConvWeights(
+            np.zeros((cout, cin, k, k), dtype=np.int32), QuantParams(bits, True, 0.25)
         )
+        requant = RequantSpec(
+            in_scale, 0.25, out_scale, bits, "rescaled_hardtanh" if last else "relu"
+        )
+        stride = POOL_STRIDES[i - 1] if i <= len(POOL_STRIDES) else None
+        steps.append(ConvLayer(f"conv{i}", weights, requant, stride))
         in_scale = out_scale
-    return records
+    return steps
+
+
+# sha256 of save_weights(random_init(ModelConfig(w, a), seed, with_bias=b)),
+# keyed ((w, a), seed, b): the files the benchmark's references were recorded
+# from must not move
+WEIGHT_FILE_SHA256 = {
+    ((2, 2), 0, True): "a5f524d9bbc27ad89d2fd8afe7d24b6ac06cac9f2ffa7db28cbd2257de615591",
+    ((2, 2), 0, False): "7353abf6d688a29a1d5b414328777656f5acd9354a7035db4ce1d4cc598fe711",
+    ((2, 2), 1, True): "94007c651d87ce02d05f159003a5b39f7bb3b1e5eece0431002cc18c213630a4",
+    ((2, 2), 1, False): "4b36c9d33565ee6dda81447cbf930c91e14c868b23f542eab2c600ad311fee2b",
+    ((4, 4), 0, True): "d31cebce5316455004a4ea16da73d31760f65eea0c5a6e5017ac051b11c1e72d",
+    ((4, 4), 0, False): "6423bf42f4b60fc14140e43607421530da5894d32f59dd80ce646cf1c0e2690b",
+    ((4, 4), 1, True): "1f7cfc1559d33b5e2265a92d02430b02b8e9d6eb93de1f9ca2af45cde5676ead",
+    ((4, 4), 1, False): "c26df4ce4fe1e543bea7b71844c6356f22a2edac2dd6e5d1838815df892a8d20",
+    ((8, 8), 0, True): "8b996fd32b025ab118c4f237955057d77797f756b391c6b1bd7704d38f069aed",
+    ((8, 8), 0, False): "91183ec536d2175d23d96729fb3e0c7a392d86c0ccfae4e3286bd50f5dc1daa5",
+    ((8, 8), 1, True): "cdc0ec1e08fb1a16b90b7d9f6116409ea91fe5d993f1ce795bc45b41b1bfe88b",
+    ((8, 8), 1, False): "15f27568f5a40d27091a6d5ccf1628ecd068dd082384ee1b1702372704236b19",
+    ((3, 5), 0, True): "a155c22ac54047c8b1a3ed5d4c3d3023aa1ea0401ad9622d7cc0cb8ff4236b47",
+    ((3, 5), 0, False): "b20b26ee058b7c1c223f135a5e30c986231f91fc407c16ac7ae74eab622c1e35",
+    ((3, 5), 1, True): "89c412ac095ed3c5dfea376f0c6e75f6298406832ca8ff1121c203cd3fad9e32",
+    ((3, 5), 1, False): "12b77d1f7a1fac9f427e2a37fbaa97e582b6cdce236f26bc66fa5372c4aa8708",
+    ((8, 1), 0, True): "074b0efd8593b4dc402c64cf2dd0d5a47157a9b1b31c569dd2268d43837c1a03",
+    ((8, 1), 0, False): "27e5eb919b603d96f244fbd6c0cefd414c2428a00761b1e73e2a959c50957e86",
+    ((8, 1), 1, True): "ef36fb98eddc799ef593baacf97ab17ef23aa6e0321fa4b5ad7a06a75532fac2",
+    ((8, 1), 1, False): "7cae9756f89fe68882579f8ea56488fd159f878513d3e83a0fb31454301a41a5",
+}
 
 
 class TestPlan:
@@ -229,7 +255,7 @@ class TestValidateModel:
 class TestForward:
     def test_zero_weights_give_uniform_midpoint(self):
         cfg = ModelConfig(weight_bits=4, act_bits=4)
-        m = build_model(cfg, WeightFile(4, 4, tuple(zero_weight_records())))
+        m = build_model(cfg, WeightFile(4, 4, tuple(zero_weight_steps())))
         out = forward(m, u8_input(fill=0))
         assert out.shape == (13, 13, 18)
         assert np.all(out.data == 128)
@@ -285,7 +311,7 @@ class TestForward:
 
     def test_pure_float_midpoint_and_range(self):
         cfg = ModelConfig(weight_bits=4, act_bits=4)
-        m = build_model(cfg, WeightFile(4, 4, tuple(zero_weight_records())))
+        m = build_model(cfg, WeightFile(4, 4, tuple(zero_weight_steps())))
         xf = FloatTensor.from_grid(np.zeros((416, 416, 3)))
         out = forward_float(m, xf, mode="pure_float")
         assert np.allclose(out.data, 0.5)
@@ -315,6 +341,22 @@ class TestWeightFiles:
         rng = np.random.default_rng(0)
         x = u8_input(rng)
         assert np.array_equal(forward(m, x).data, forward(m2, x).data)
+
+    def test_load_gives_the_saved_steps(self, tmp_path):
+        m, path = self._file(tmp_path, wb=3, ab=5)
+        for got, want in zip(load_weights(path).layers, m.layers, strict=True):
+            assert np.array_equal(got.weights.weights, want.weights.weights)
+            assert got.weights.w_params == want.weights.w_params
+            assert np.array_equal(got.weights.bias, want.weights.bias)
+            assert got.requant == want.requant
+            assert (got.name, got.pool_stride) == (want.name, want.pool_stride)
+
+    @pytest.mark.parametrize("key", sorted(WEIGHT_FILE_SHA256))
+    def test_file_bytes_are_pinned(self, tmp_path, key):
+        (wb, ab), seed, with_bias = key
+        path = tmp_path / "w.lpyq"
+        save_weights(random_init(ModelConfig(wb, ab), seed, with_bias=with_bias), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == WEIGHT_FILE_SHA256[key]
 
     def test_resave_is_byte_identical(self, tmp_path):
         m, path = self._file(tmp_path)
@@ -388,87 +430,26 @@ class TestBuildModel:
         m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
         path = tmp_path / "w.lpyq"
         save_weights(m, path)
-        with pytest.raises(ValueError, match="4W4A"):
+        with pytest.raises(ValueError, match="conv2: weight bits"):
             build_model(ModelConfig(weight_bits=6, act_bits=4), load_weights(path))
 
     def test_shape_mismatch_names_layer(self):
-        records = zero_weight_records()
-        bad = records[2]
-        records[2] = LayerRecord(
-            index=bad.index,
-            kernel=bad.kernel,
-            in_ch=bad.in_ch + 1,
-            out_ch=bad.out_ch,
-            w_scale=bad.w_scale,
-            in_scale=bad.in_scale,
-            out_scale=bad.out_scale,
-            weights=bad.weights,
-            bias=None,
-        )
+        steps = zero_weight_steps()
+        w = dataclasses.replace(steps[2].weights, weights=np.zeros((16, 9, 3, 3), np.int32))
+        steps[2] = dataclasses.replace(steps[2], weights=w)
         with pytest.raises(ValueError, match="conv3"):
             build_model(
                 ModelConfig(weight_bits=4, act_bits=4),
-                WeightFile(4, 4, tuple(records)),
+                WeightFile(4, 4, tuple(steps)),
             )
 
-    def test_broken_scale_chain_names_layer(self):
-        records = zero_weight_records()
-        bad = records[4]
-        records[4] = LayerRecord(
-            index=bad.index,
-            kernel=bad.kernel,
-            in_ch=bad.in_ch,
-            out_ch=bad.out_ch,
-            w_scale=bad.w_scale,
-            in_scale=0.75,  # breaks continuity with conv4's output
-            out_scale=bad.out_scale,
-            weights=bad.weights,
-            bias=None,
-        )
-        with pytest.raises(ValueError, match="conv5"):
-            build_model(
-                ModelConfig(weight_bits=4, act_bits=4),
-                WeightFile(4, 4, tuple(records)),
-            )
-
-    def test_first_scale_must_be_pixel_scale(self):
-        records = zero_weight_records()
-        first = records[0]
-        records[0] = LayerRecord(
-            index=1,
-            kernel=first.kernel,
-            in_ch=first.in_ch,
-            out_ch=first.out_ch,
-            w_scale=first.w_scale,
-            in_scale=0.5,
-            out_scale=first.out_scale,
-            weights=first.weights,
-            bias=None,
-        )
-        with pytest.raises(ValueError, match="1/255"):
-            build_model(
-                ModelConfig(weight_bits=4, act_bits=4),
-                WeightFile(4, 4, tuple(records)),
-            )
-
-    def test_weight_range_error_names_layer(self):
-        records = zero_weight_records()
-        bad = records[1]
-        w = bad.weights.copy()
-        w[0, 0, 0, 0] = 100  # outside 4-bit signed range
-        records[1] = LayerRecord(
-            index=bad.index,
-            kernel=bad.kernel,
-            in_ch=bad.in_ch,
-            out_ch=bad.out_ch,
-            w_scale=bad.w_scale,
-            in_scale=bad.in_scale,
-            out_scale=bad.out_scale,
-            weights=w,
-            bias=None,
-        )
-        with pytest.raises(ValueError, match="conv2"):
-            build_model(
-                ModelConfig(weight_bits=4, act_bits=4),
-                WeightFile(4, 4, tuple(records)),
-            )
+    def test_weight_range_error_names_layer(self, tmp_path):
+        m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0, with_bias=False)
+        path = tmp_path / "w.lpyq"
+        save_weights(m, path)
+        blob = bytearray(path.read_bytes())
+        # file header, conv1's layer head and 8*3*3*3 weights, conv2's head
+        blob[8 + 19 + 216 + 19] = 100  # outside 4-bit signed range
+        path.write_bytes(bytes(blob))
+        with pytest.raises(WeightFileError, match="conv2"):
+            load_weights(path)

@@ -207,6 +207,13 @@ class TestWire:
         with pytest.raises(WireLengthError, match="trailing"):
             decode_frame(encode_end() + b"\x00")
 
+    @pytest.mark.parametrize("cx", [math.nan, math.inf, -math.inf])
+    def test_non_finite_detection_is_wire_error(self, cx):
+        blob = bytearray(encode_frame(frame_msg()))
+        blob[20:24] = struct.pack("<f", cx)  # the first detection's cx
+        with pytest.raises(WireError, match="non-finite"):
+            decode_frame(bytes(blob))
+
     def test_stream_of_messages(self):
         msgs = [frame_msg(frame_id=i) for i in range(3)]
         blob = b"".join(encode_frame(m) for m in msgs) + encode_end()
