@@ -37,7 +37,7 @@ from .model import (
     random_init,
     save_weights,
 )
-from .pipeline import PipelineConfig, serve_tcp
+from .pipeline import PipelineConfig, PipelineError, serve_tcp
 from .postprocess import (detect, evaluate_ap, format_detection_line, parse_widerface_gt,
                           to_pixel_box)
 
@@ -54,7 +54,7 @@ def _fail_input(stage: str, e: Exception):
 
 def _load_run_config(args) -> RunConfig:
     run = RunConfig()
-    if getattr(args, "config", None):
+    if args.config:
         try:
             run = load_run_config(args.config)
         except (OSError, ValueError) as e:
@@ -65,7 +65,7 @@ def _load_run_config(args) -> RunConfig:
         ("nms_iou", "nms_iou"),
         ("decode_mode", "decode_mode"),
     ):
-        v = getattr(args, flag, None)
+        v = getattr(args, flag)
         if v is not None:
             overrides[field] = v
     if overrides:
@@ -186,14 +186,20 @@ def cmd_serve(args) -> int:
         cfg = PipelineConfig(queue_capacity=args.queue_capacity)
     except ValueError as e:
         _fail_input("pipeline", e)
-    stats = serve_tcp(
-        (host, int(port)),
-        _frame_reader(paths),
-        model,
-        cfg,
-        run,
-        on_bound=lambda addr: print(f"listening on {addr[0]}:{addr[1]}", flush=True),
-    )
+    try:
+        stats = serve_tcp(
+            (host, int(port)),
+            _frame_reader(paths),
+            model,
+            cfg,
+            run,
+            on_bound=lambda addr: print(f"listening on {addr[0]}:{addr[1]}", flush=True),
+        )
+    except PipelineError as e:
+        # a frame that cannot be read is bad input, like any other image
+        if e.stage == "source" and isinstance(e.original, (OSError, ValueError)):
+            _fail_input("image", e.original)
+        raise
     print(f"served {stats.frames} frames in {stats.wall_seconds:.2f}s "
           f"({stats.fps:.2f} fps)")
     return 0
@@ -233,6 +239,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_init_weights(args) -> int:
+    if args.seed < 0:
+        raise CliInputError(f"seed must be >= 0, got {args.seed}")
     try:
         cfg = ModelConfig(weight_bits=args.weight_bits, act_bits=args.act_bits)
     except ValueError as e:
@@ -260,15 +268,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="lpyolo", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
 
-    def with_model(sp, postproc_flags=True):
+    def with_model(sp):
         sp.add_argument("--weights", required=True, help="weight file (LPYQ)")
         sp.add_argument("--config", help="JSON run config")
-        if postproc_flags:
-            sp.add_argument("--conf", type=float, help="confidence threshold override")
-            sp.add_argument("--nms-iou", type=float, dest="nms_iou",
-                            help="NMS IoU threshold override")
-            sp.add_argument("--decode-mode", choices=DECODE_MODES,
-                            dest="decode_mode", help="box size decode override")
+        sp.add_argument("--conf", type=float, help="confidence threshold override")
+        sp.add_argument("--nms-iou", type=float, dest="nms_iou",
+                        help="NMS IoU threshold override")
+        sp.add_argument("--decode-mode", choices=DECODE_MODES,
+                        dest="decode_mode", help="box size decode override")
 
     sp = sub.add_parser("infer", help="detect faces in one PPM image")
     with_model(sp)

@@ -68,24 +68,12 @@ def _check_fold(work: LayerWork, pe: int, simd: int, name: str = "layer") -> Non
 
 def conv_works() -> list:
     """(name, LayerWork) for the 10 convolutions, graph order."""
-    out = []
-    conv_i = 0
-    for name, in_shape, out_shape in plan_shapes():
-        if not name.startswith("conv"):
-            continue
-        _cin, cout, k = CONV_PLAN[conv_i]
-        conv_i += 1
-        out.append(
-            (
-                name,
-                LayerWork(
-                    mw=k * k * in_shape[2],
-                    mh=cout,
-                    ofm_pixels=out_shape[0] * out_shape[1],
-                ),
-            )
-        )
-    return out
+    convs = [row for row in plan_shapes() if row[0].startswith("conv")]
+    return [
+        (name, LayerWork(mw=k * k * in_shape[2], mh=cout,
+                         ofm_pixels=out_shape[0] * out_shape[1]))
+        for (name, in_shape, out_shape), (_cin, cout, k) in zip(convs, CONV_PLAN)
+    ]
 
 
 def pool_pixels() -> list:
@@ -105,15 +93,16 @@ def layer_cycles(work: LayerWork, pe: int, simd: int) -> int:
 
 def all_cycles(spec: FoldingSpec) -> list:
     """(name, cycles) for all 16 layers in graph order."""
-    conv = {
-        name: layer_cycles(work, pe, simd)
-        for (name, work), (pe, simd) in zip(conv_works(), spec.folds)
-    }
-    pools = dict(pool_pixels())
+    folds = iter(zip(conv_works(), spec.folds))
     rows = []
-    for name, _in, _out in plan_shapes():
-        rows.append((name, conv[name] if name in conv else pools[name]))
+    for name, _in, out_shape in plan_shapes():
+        if name.startswith("conv"):
+            (_n, work), (pe, simd) = next(folds)
+            rows.append((name, layer_cycles(work, pe, simd)))
+        else:
+            rows.append((name, out_shape[0] * out_shape[1]))
     return rows
+
 
 def estimate_throughput(spec: FoldingSpec, clock_hz: float = DEFAULT_CLOCK_HZ):
     """(frames per second, bottleneck layer name); earliest layer wins ties."""
@@ -134,61 +123,47 @@ def _divisors(n: int) -> list:
 
 
 def _ladder(work: LayerWork) -> list:
-    """All (product, pe, simd) choices sorted by rising parallelism."""
-    pairs = [
-        (pe * simd, pe, simd)
-        for pe in _divisors(work.mh)
-        for simd in _divisors(work.mw)
-    ]
-    pairs.sort()
-    return pairs
+    """One (pe, simd) per distinct pe*simd, by rising product; each is the
+    pair with the smallest pe. Cycles depend only on the product."""
+    rungs = {}
+    for pe in _divisors(work.mh):
+        for simd in _divisors(work.mw):
+            rungs.setdefault(pe * simd, (pe, simd))
+    return [rungs[p] for p in sorted(rungs)]
 
 
 def balance_folding(budget: int) -> FoldingSpec:
     """Spend a total pe*simd budget greedily on the current bottleneck.
 
-    Each step moves one layer to its cheapest strictly-more-parallel
-    divisor pair; the slowest layer gets first claim, and when it cannot
-    afford a step (or is fully unfolded) the next-slowest is considered.
-    Cycles depend on pe and simd only through their product, so the result
-    is locally optimal: no single in-budget reassignment of one layer can
-    lower the bottleneck's cycle count.
+    Each step moves one layer up one rung of its ladder, to its cheapest
+    strictly-more-parallel divisor pair; the slowest layer gets first claim,
+    and when it cannot afford the step (or is fully unfolded) the
+    next-slowest is considered. Cycles depend on pe and simd only through
+    their product, so the result is locally optimal: no single in-budget
+    reassignment of one layer can lower the bottleneck's cycle count.
     """
-    works = conv_works()
+    works = [w for _n, w in conv_works()]
     if budget < len(works):
         raise ValueError(
             f"budget {budget} below minimum {len(works)} (one pe*simd unit per layer)"
         )
-    ladders = [_ladder(w) for _n, w in works]
-    pos = [0] * len(works)  # ladders start at (1, 1, 1)
+    ladders = [_ladder(w) for w in works]
+    pos = [0] * len(works)  # ladders start at (1, 1)
     total = len(works)
     while True:
-        order = sorted(
-            range(len(works)),
-            key=lambda i: (
-                -layer_cycles(works[i][1], ladders[i][pos[i]][1], ladders[i][pos[i]][2]),
-                i,
-            ),
-        )
-        granted = False
+        order = sorted(range(len(works)),
+                       key=lambda i: (-layer_cycles(works[i], *ladders[i][pos[i]]), i))
         for i in order:
-            cur = ladders[i][pos[i]][0]
-            for j in range(pos[i] + 1, len(ladders[i])):
-                new = ladders[i][j][0]
-                if new == cur:
-                    continue
-                if total - cur + new <= budget:
-                    pos[i] = j
-                    total += new - cur
-                    granted = True
+            if pos[i] + 1 == len(ladders[i]):
+                continue
+            (pe, simd), (up_pe, up_simd) = ladders[i][pos[i]:pos[i] + 2]
+            step = up_pe * up_simd - pe * simd
+            if total + step <= budget:
+                pos[i] += 1
+                total += step
                 break
-            if granted:
-                break
-        if not granted:
-            return FoldingSpec(
-                folds=tuple((ladders[i][pos[i]][1], ladders[i][pos[i]][2])
-                            for i in range(len(works)))
-            )
+        else:
+            return FoldingSpec(folds=tuple(ladder[p] for ladder, p in zip(ladders, pos)))
 
 
 def parse_folding_spec(path) -> FoldingSpec:

@@ -24,7 +24,6 @@ __all__ = [
     "GroundTruthSet",
     "dequantize_output",
     "decode_grid",
-    "iou",
     "nms",
     "detect",
     "evaluate_ap",
@@ -130,25 +129,10 @@ def decode_grid(
     return list(map(Detection._make, boxes.tolist()))
 
 
-def iou(a, b) -> float:
-    """Intersection over union of (x, y, w, h) corner-origin rectangles."""
-    ax, ay, aw, ah = a
-    bx, by, bw, bh = b
-    ix = max(0.0, min(ax + aw, bx + bw) - max(ax, bx))
-    iy = max(0.0, min(ay + ah, by + bh) - max(ay, by))
-    inter = ix * iy
-    union = aw * ah + bw * bh - inter
-    if union <= 0.0:
-        return 0.0
-    # roundoff in (x + w) - x can push the ratio an ulp past 1 for
-    # identical boxes; the true value never exceeds 1
-    return min(1.0, inter / union)
-
-
 def _iou_row(a, bx, by, bw, bh):
-    """iou(a, b) for one box a against arrays of boxes b, with the same float
-    operations in the same order as the scalar form, so every value (and
-    every strict-> decision NMS takes on it) is bit-identical."""
+    """Intersection over union of one (x, y, w, h) corner-origin rectangle a
+    against arrays of rectangles b; a pair whose union is not positive reads
+    as 0. NMS and AP matching both decide on these values."""
     ax, ay, aw, ah = a
     ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
     iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
@@ -156,6 +140,8 @@ def _iou_row(a, bx, by, bw, bh):
     union = aw * ah + bw * bh - inter
     out = np.zeros_like(inter)
     np.divide(inter, union, out=out, where=union > 0.0)
+    # roundoff in (x + w) - x can push the ratio an ulp past 1 for
+    # identical boxes; the true value never exceeds 1
     return np.minimum(1.0, out, out=out)
 
 
@@ -211,26 +197,24 @@ def evaluate_ap(preds: list, gt: GroundTruthSet, iou_threshold: float = 0.5) -> 
     if n_gt == 0:
         return 0.0
     order = sorted(preds, key=lambda p: (-p[1], p[0], p[2], p[3], p[4], p[5]))
-    matched = {img: [False] * len(boxes) for img, boxes in gt.boxes.items()}
+    boxes = {img: np.array(b, dtype=np.float64).reshape(-1, 4).T for img, b in gt.boxes.items()}
+    matched = {img: np.zeros(len(b), dtype=bool) for img, b in gt.boxes.items()}
     tp = np.zeros(len(order))
     for i, (img, _score, x, y, w, h) in enumerate(order):
-        best_iou, best_j = 0.0, -1
-        for j, box in enumerate(gt.boxes[img]):
-            if matched[img][j]:
-                continue
-            v = iou((x, y, w, h), box)
-            if v > best_iou:
-                best_iou, best_j = v, j
-        if best_j >= 0 and best_iou >= iou_threshold:
-            matched[img][best_j] = True
+        if not matched[img].size:
+            continue
+        row = _iou_row((x, y, w, h), *boxes[img])
+        row[matched[img]] = 0.0
+        # argmax keeps the first of equal bests; an IoU of 0 never matches
+        j = np.argmax(row)
+        if row[j] > 0.0 and row[j] >= iou_threshold:
+            matched[img][j] = True
             tp[i] = 1.0
     cum_tp = np.cumsum(tp)
     precision = cum_tp / np.arange(1, len(order) + 1)
     recall = cum_tp / n_gt
     mrec = np.concatenate(([0.0], recall, [1.0]))
-    mpre = np.concatenate(([0.0], precision, [0.0]))
-    for i in range(len(mpre) - 2, -1, -1):
-        mpre[i] = max(mpre[i], mpre[i + 1])
+    mpre = np.maximum.accumulate(np.concatenate(([0.0], precision, [0.0]))[::-1])[::-1]
     steps = np.nonzero(mrec[1:] != mrec[:-1])[0]
     return float(np.sum((mrec[steps + 1] - mrec[steps]) * mpre[steps + 1]))
 

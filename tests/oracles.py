@@ -102,6 +102,58 @@ def ref_nms(dets, thr):
     return kept
 
 
+def _ref_box_overlap(a, b):
+    """IoU of two (x, y, w, h) boxes, taken through their (x1, y1, x2, y2)
+    corners."""
+    ax1, ay1, ax2, ay2 = a[0], a[1], a[0] + a[2], a[1] + a[3]
+    bx1, by1, bx2, by2 = b[0], b[1], b[0] + b[2], b[1] + b[3]
+    iw = min(ax2, bx2) - max(ax1, bx1)
+    ih = min(ay2, by2) - max(ay1, by1)
+    if iw <= 0 or ih <= 0:
+        return 0.0
+    inter = iw * ih
+    union = a[2] * a[3] + b[2] * b[3] - inter
+    return inter / union if union > 0 else 0.0
+
+
+def ref_evaluate_ap(preds, gt_boxes, iou_threshold):
+    """Average precision from the definition: predictions by descending
+    score (then image id and box), each taking the highest-overlap unmatched
+    box of its image, the first of equal bests, when that overlap is above 0
+    and reaches the threshold. Then the all-points precision envelope and
+    area, one scalar at a time, summed with np.sum."""
+    n_gt = sum(len(boxes) for boxes in gt_boxes.values())
+    if n_gt == 0:
+        return 0.0
+    order = sorted(preds, key=lambda p: (-p[1], p[0], p[2], p[3], p[4], p[5]))
+    matched = set()
+    hits = 0
+    mrec, mpre = [0.0], [0.0]
+    for k, (img, _score, *box) in enumerate(order, start=1):
+        best, best_j = 0.0, None
+        for j, gt_box in enumerate(gt_boxes[img]):
+            if (img, j) in matched:
+                continue
+            v = _ref_box_overlap(box, gt_box)
+            if v > best:
+                best, best_j = v, j
+        if best_j is not None and best >= iou_threshold:
+            matched.add((img, best_j))
+            hits += 1
+        mrec.append(hits / n_gt)
+        mpre.append(hits / k)
+    mrec.append(1.0)
+    mpre.append(0.0)
+    for i in range(len(mpre) - 2, -1, -1):
+        mpre[i] = max(mpre[i], mpre[i + 1])
+    areas = [
+        (mrec[i + 1] - mrec[i]) * mpre[i + 1]
+        for i in range(len(mrec) - 1)
+        if mrec[i + 1] != mrec[i]
+    ]
+    return float(np.sum(np.array(areas, dtype=np.float64)))
+
+
 def random_layer(rng, wbits, abits):
     """A random small quantized conv layer plus a matching random input."""
     cin = int(rng.integers(1, 17))

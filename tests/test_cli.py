@@ -58,6 +58,12 @@ class TestInitWeights:
         assert blob[:4] == b"LPYQ"
         assert (blob[5], blob[6]) == (2, 1)
 
+    def test_negative_seed_exit_2(self, tmp_path, capsys):
+        assert main(["init-weights", "--weight-bits", "4", "--act-bits", "4",
+                     "--seed", "-1", "--out", str(tmp_path / "w.lpyq")]) == 2
+        assert "seed" in capsys.readouterr().err
+        assert not (tmp_path / "w.lpyq").exists()
+
     def test_bad_bits_exit_2(self, tmp_path, capsys):
         assert main(["init-weights", "--weight-bits", "9", "--act-bits", "4",
                      "--out", str(tmp_path / "w.lpyq")]) == 2
@@ -347,14 +353,10 @@ class TestServeCommand:
                          "--listen", f"127.0.0.1:{port}"]) == 2
             assert port in capsys.readouterr().err
 
-    def test_streams_directory_over_tcp(self, weights, tmp_path):
-        rng = np.random.default_rng(3)
-        frames = tmp_path / "frames"
-        frames.mkdir()
-        for i in range(2):
-            img = Image(width=32, height=32,
-                        pixels=rng.integers(0, 256, 3 * 32 * 32, dtype=np.uint8).tobytes())
-            write_ppm(img, frames / f"{i}.ppm")
+    def _serve(self, weights, frames):
+        """Run `lpyolo serve` on a frame directory in a child process, read
+        its stream to the end marker; return (frame ids, exit code, stdout,
+        stderr)."""
         # the child imports the same lpyolo as this process, installed or not
         src = os.path.dirname(os.path.dirname(lpyolo.__file__))
         path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
@@ -377,9 +379,31 @@ class TestServeCommand:
                     if msg is None:
                         break
                     ids.append(msg.frame_id)
-            assert ids == [0, 1]
             out, err = proc.communicate(timeout=30)
-            assert proc.returncode == 0, err
-            assert "served 2 frames" in out
+            return ids, proc.returncode, out, err
         finally:
             proc.kill()
+
+    def _frames(self, tmp_path, count):
+        rng = np.random.default_rng(3)
+        frames = tmp_path / "frames"
+        frames.mkdir()
+        for i in range(count):
+            img = Image(width=32, height=32,
+                        pixels=rng.integers(0, 256, 3 * 32 * 32, dtype=np.uint8).tobytes())
+            write_ppm(img, frames / f"{i}.ppm")
+        return frames
+
+    def test_streams_directory_over_tcp(self, weights, tmp_path):
+        ids, code, out, err = self._serve(weights, self._frames(tmp_path, 2))
+        assert ids == [0, 1]
+        assert code == 0, err
+        assert "served 2 frames" in out
+
+    def test_malformed_frame_exit_2(self, weights, tmp_path):
+        frames = self._frames(tmp_path, 2)
+        bad = frames / "1.ppm"
+        bad.write_bytes(bad.read_bytes()[:-3067])  # 5 of 3072 payload bytes
+        _ids, code, _out, err = self._serve(weights, frames)
+        assert code == 2, err
+        assert "image" in err and "truncated" in err

@@ -14,14 +14,13 @@ from lpyolo.postprocess import (
     evaluate_ap,
     format_detection_line,
     _iou_row,
-    iou,
     nms,
     parse_widerface_gt,
     to_pixel_box,
 )
 from lpyolo.qcore import QuantParams, QuantTensor
 
-from oracles import ref_decode_grid, ref_nms
+from oracles import ref_decode_grid, ref_evaluate_ap, ref_nms
 
 CFG = ModelConfig(weight_bits=4, act_bits=4)
 
@@ -203,19 +202,24 @@ class TestDecode:
             assert len(got) >= 1
 
 
+def pair_iou(a, b) -> float:
+    """_iou_row of one pair of (x, y, w, h) boxes."""
+    return float(_iou_row(a, *np.array([b], dtype=np.float64).T)[0])
+
+
 class TestIou:
     def test_identity(self):
-        assert iou((0, 0, 2, 2), (0, 0, 2, 2)) == 1.0
+        assert pair_iou((0, 0, 2, 2), (0, 0, 2, 2)) == 1.0
 
     def test_disjoint(self):
-        assert iou((0, 0, 1, 1), (5, 5, 1, 1)) == 0.0
+        assert pair_iou((0, 0, 1, 1), (5, 5, 1, 1)) == 0.0
 
     def test_known_third(self):
         # overlap 1x2 = 2, union 4 + 4 - 2 = 6
-        assert iou((0, 0, 2, 2), (1, 0, 2, 2)) == pytest.approx(1 / 3)
+        assert pair_iou((0, 0, 2, 2), (1, 0, 2, 2)) == pytest.approx(1 / 3)
 
     def test_touching_edges(self):
-        assert iou((0, 0, 1, 1), (1, 0, 1, 1)) == 0.0
+        assert pair_iou((0, 0, 1, 1), (1, 0, 1, 1)) == 0.0
 
     box = st.tuples(
         st.floats(0, 10, allow_nan=False),
@@ -226,18 +230,9 @@ class TestIou:
 
     @given(box, box)
     def test_symmetric_and_bounded(self, a, b):
-        v = iou(a, b)
-        assert v == iou(b, a)
+        v = pair_iou(a, b)
+        assert v == pair_iou(b, a)
         assert 0.0 <= v <= 1.0
-
-    @given(box, st.lists(box, max_size=20))
-    def test_row_is_bit_identical_to_scalar(self, a, bs):
-        # nms decides with row > thr, so equal-but-for-an-ulp would not do;
-        # a against itself is where roundoff can push the ratio past 1
-        bs = bs + [a]
-        row = _iou_row(a, *np.array(bs, dtype=np.float64).reshape(-1, 4).T)
-        want = np.array([iou(a, b) for b in bs], dtype=np.float64)
-        assert row.tobytes() == want.tobytes()
 
 
 # Multiples of 1/64 make both IoU formulas (nms's and the oracle's) exact, so
@@ -320,9 +315,8 @@ class TestNms:
         dets = random_dets(rng, 12)
         kept = nms(dets, 0.3)
         corners = [(d.cx - d.w / 2, d.cy - d.h / 2, d.w, d.h) for d in kept]
-        for i in range(len(kept)):
-            for j in range(i):
-                assert iou(corners[i], corners[j]) <= 0.3
+        for i in range(1, len(kept)):
+            assert (_iou_row(corners[i], *np.array(corners[:i]).T) <= 0.3).all()
 
     def test_output_sorted_by_score(self):
         rng = np.random.default_rng(4)
@@ -331,9 +325,47 @@ class TestNms:
         assert scores == sorted(scores, reverse=True)
 
 
+_pixel = st.integers(0, 6).map(float)
+_size = st.integers(1, 4).map(float)
+
+
+@st.composite
+def _ap_case(draw):
+    """Integer-pixel ground truth over one to three images (some empty),
+    and predictions that copy ground-truth boxes, repeat each other or have
+    zero width or height, with few distinct scores so ties occur."""
+    images = draw(st.lists(st.lists(st.tuples(_pixel, _pixel, _size, _size), max_size=4),
+                           min_size=1, max_size=3))
+    boxes = {f"img{k}": v for k, v in enumerate(images)}
+    preds = []
+    for _ in range(draw(st.integers(0, 12))):
+        img = draw(st.sampled_from(sorted(boxes)))
+        score = draw(st.integers(0, 4).map(lambda k: k / 4))
+        if boxes[img] and draw(st.booleans()):
+            box = draw(st.sampled_from(boxes[img]))
+        else:
+            box = draw(st.tuples(_pixel, _pixel, st.integers(0, 4).map(float),
+                                 st.integers(0, 4).map(float)))
+        preds.append((img, score) + tuple(box))
+    if preds:
+        preds += draw(st.lists(st.sampled_from(preds), max_size=3))
+    return preds, boxes
+
+
 class TestAp:
     def _gt(self, mapping):
         return GroundTruthSet(boxes=mapping)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        _ap_case(),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, 8).map(lambda k: k / 8)),
+    )
+    def test_matches_reference_on_integer_boxes(self, case, thr):
+        # integer corners make both overlap formulas exact, so the two
+        # matchings, and the AP built on them, agree to the bit
+        preds, boxes = case
+        assert evaluate_ap(preds, self._gt(boxes), thr) == ref_evaluate_ap(preds, boxes, thr)
 
     def test_perfect(self):
         gt = self._gt({"a": [(10, 10, 20, 20)], "b": [(0, 0, 5, 5)]})
@@ -385,6 +417,13 @@ class TestAp:
         p1 = [("a", 0.9, 12, 12, 20, 20)]
         p2 = [("a", 0.9, 112, 212, 20, 20)]
         assert evaluate_ap(p1, gt1) == evaluate_ap(p2, gt2)
+
+    def test_first_of_equal_best_overlaps_is_matched(self):
+        # the first prediction overlaps both boxes by 1/3 and takes the first,
+        # so the second, a copy of that first box, finds nothing left
+        gt = self._gt({"a": [(0, 0, 2, 2), (2, 0, 2, 2)]})
+        preds = [("a", 0.9, 1, 0, 2, 2), ("a", 0.8, 0, 0, 2, 2)]
+        assert evaluate_ap(preds, gt, iou_threshold=0.3) == 0.5
 
     def test_partial_iou_threshold(self):
         gt = self._gt({"a": [(0, 0, 10, 10)]})
