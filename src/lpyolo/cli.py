@@ -79,15 +79,8 @@ def _load_run_config(args) -> RunConfig:
 def _load_model(args, run: RunConfig) -> Model:
     try:
         wf = load_weights(args.weights)
+        return build_model(run.model_config(wf.weight_bits, wf.act_bits), wf)
     except (OSError, ValueError) as e:
-        _fail_input("weights", e)
-    try:
-        cfg = run.model_config(wf.weight_bits, wf.act_bits)
-    except ValueError as e:
-        _fail_input("config", e)
-    try:
-        return build_model(cfg, wf)
-    except ValueError as e:
         _fail_input("weights", e)
 
 

@@ -18,7 +18,6 @@ __all__ = [
     "LayerWork",
     "FoldingSpec",
     "conv_works",
-    "pool_pixels",
     "layer_cycles",
     "all_cycles",
     "estimate_throughput",
@@ -73,15 +72,6 @@ def conv_works() -> list:
         (name, LayerWork(mw=k * k * in_shape[2], mh=cout,
                          ofm_pixels=out_shape[0] * out_shape[1]))
         for (name, in_shape, out_shape), (_cin, cout, k) in zip(convs, CONV_PLAN)
-    ]
-
-
-def pool_pixels() -> list:
-    """(name, output pixels) for the 6 pools, graph order."""
-    return [
-        (name, out_shape[0] * out_shape[1])
-        for name, _in, out_shape in plan_shapes()
-        if name.startswith("pool")
     ]
 
 

@@ -34,8 +34,9 @@ __all__ = [
     "maxpool_grid",
 ]
 
-# Accumulators must stay within signed 32-bit range; Table-1-sized layers
-# peak below 2^28 so this is headroom, not a tight bound.
+# Accumulators must stay within signed 32-bit range, as the hardware's do;
+# acc_plan refuses any layer whose bound reaches it. The largest bound of the
+# random_init models is about 2^23.95 (8W8A conv7).
 ACC_LIMIT = 1 << 31
 
 ACTIVATIONS = ("relu", "rescaled_hardtanh")
@@ -198,15 +199,15 @@ def acc_plan(in_params: QuantParams, w: ConvWeights) -> tuple[int, np.dtype]:
     of every input on the in_params lattice, in any summation order, is an
     integer of magnitude <= bound, so a dtype whose significand holds bound
     makes the whole convolution exact: float32 below 2^24, float64 below
-    2^53, ValueError above.
+    2^31. At or above 2^31 a 32-bit accumulator could overflow: ValueError.
     """
     bound = max(-in_params.qmin, in_params.qmax) * w.l1_max + w.bias_max
     # a p-bit significand holds every integer of magnitude up to 2^p
     if bound < 1 << 24:
         return bound, np.dtype(np.float32)
-    if bound < 1 << 53:
+    if bound < ACC_LIMIT:
         return bound, np.dtype(np.float64)
-    raise ValueError(f"accumulator bound {bound} is not exact in float64")
+    raise ValueError(f"accumulator bound {bound} reaches 2^31: 32-bit overflow possible")
 
 
 def _scratch(role: str, shape, dtype) -> np.ndarray:
@@ -245,12 +246,11 @@ def conv2d_acc(
     multiply, +offset, rint and clip each are), and max commutes with a
     monotone map. -inf padding never wins, as qmin never wins on the lattice.
 
-    |acc| < 2^31 is proven by the bound when it is below 2^31; only above
-    that is the unpooled accumulator scanned. The large temporaries live in
-    this thread's scratch (see _scratch); the returned array is never one.
+    The large temporaries live in this thread's scratch (see _scratch); the
+    returned array is never one.
     """
     k, pad = _check_conv_input(x.shape, w)
-    bound, dtype = acc_plan(x.params, w)
+    _bound, dtype = acc_plan(x.params, w)
     h, wd, cin = x.shape
     cout = w.out_channels
     ph, pw = h + 2 * pad, wd + 2 * pad
@@ -278,8 +278,6 @@ def conv2d_acc(
         acc_rows = acc.reshape(h, pw * cout)
         acc_rows += np.tile(w.bias.astype(dtype), pw)
     grid = acc.reshape(h, pw, cout)[:, :wd]
-    if bound >= ACC_LIMIT and float(np.abs(grid).max(initial=0)) >= ACC_LIMIT:
-        raise ValueError("accumulator overflow: |acc| reached 2^31")
     if pool_stride is None:
         return grid.copy()
     return maxpool_grid(grid, pool_stride, pad_value=-np.inf)
@@ -290,11 +288,10 @@ def conv2d_real(
 ) -> np.ndarray:
     """Float64 'same' convolution over raw (h, w, c) / [out][in][kh][kw] arrays.
 
-    The carrier of the fake-quant and pure-float reference passes; on real
-    weights it is the unquantized baseline. On integer-valued inputs it is
-    exact (every partial sum stays far below 2^53) and equals conv2d_acc;
-    the independent reference both are checked against is the seven-loop
-    convolution in the tests.
+    The carrier of the fake-quant reference pass. On integer-valued inputs
+    it is exact (every partial sum stays far below 2^53) and equals
+    conv2d_acc; the independent reference both are checked against is the
+    seven-loop convolution in the tests.
     """
     x = np.asarray(x, dtype=np.float64)
     wt = np.asarray(weights, dtype=np.float64)

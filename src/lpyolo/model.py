@@ -4,8 +4,8 @@ input to a 13x13x18 prediction grid.
 
 Owns bit-width configuration (m-bit weights, n-bit activations, with the
 first and last convolutions pinned to 8 bits), weight file serialization,
-deterministic random initialization for fixtures, and full forward passes
-in integer, fake-quant, and pure-float modes.
+deterministic random initialization for fixtures, and the integer forward
+pass with its fake-quant float reference.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .kernels import (
     conv2d_real,
     maxpool_grid,
     requantize,
-    sigmoid,
 )
 from .qcore import FloatTensor, QuantParams, QuantTensor
 
@@ -126,22 +125,14 @@ class ModelConfig:
             raise ValueError(f"weight_bits {self.weight_bits} outside 2..8")
         if not 1 <= self.act_bits <= 8:
             raise ValueError(f"act_bits {self.act_bits} outside 1..8")
-        anchors = tuple((float(w), float(h)) for w, h in self.anchors)
-        if len(anchors) != 3:
-            raise ValueError(f"exactly 3 anchors required, got {len(anchors)}")
-        for w, h in anchors:
-            if not (0.0 < w <= INPUT_SIZE and 0.0 < h <= INPUT_SIZE):
-                raise ValueError(f"anchor ({w}, {h}) outside (0, {INPUT_SIZE}]")
-        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "anchors", _anchors(self.anchors))
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Run-file settings: bit widths (None = take from the weight file),
-    anchors, and the postprocessing knobs."""
+    """Run-file settings: anchors and the postprocessing knobs. Bit widths
+    are not among them; they come from the weight file's header."""
 
-    weight_bits: int | None = None
-    act_bits: int | None = None
     anchors: tuple = DEFAULT_ANCHORS
     conf_threshold: float = 0.25
     nms_iou: float = 0.45
@@ -149,10 +140,6 @@ class RunConfig:
 
     def __post_init__(self) -> None:
         # values arrive from JSON, so each is checked for type before use
-        for key in ("weight_bits", "act_bits"):
-            v = getattr(self, key)
-            if v is not None and (isinstance(v, bool) or not isinstance(v, int)):
-                raise ValueError(f"{key} must be an integer or null, got {v!r}")
         conf = _finite_number("conf_threshold", self.conf_threshold)
         if conf < 0.0:
             raise ValueError(f"conf_threshold {conf} negative")
@@ -161,29 +148,29 @@ class RunConfig:
             raise ValueError(f"nms_iou {iou} outside [0, 1]")
         if self.decode_mode not in DECODE_MODES:
             raise ValueError(f"unknown decode_mode {self.decode_mode!r}")
-        pairs = self.anchors
-        if not (
-            isinstance(pairs, (list, tuple))
-            and len(pairs) == 3
-            and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)
-        ):
-            raise ValueError(f"anchors must be 3 [w, h] pairs, got {pairs!r}")
-        anchors = tuple(tuple(_finite_number("anchors", v) for v in p) for p in pairs)
         object.__setattr__(self, "conf_threshold", conf)
         object.__setattr__(self, "nms_iou", iou)
-        object.__setattr__(self, "anchors", anchors)
+        object.__setattr__(self, "anchors", _anchors(self.anchors))
 
-    def model_config(self, file_wbits: int, file_abits: int) -> ModelConfig:
-        """Resolve bit widths against a weight file's header; explicit
-        settings must agree with the file."""
-        wb = self.weight_bits if self.weight_bits is not None else file_wbits
-        ab = self.act_bits if self.act_bits is not None else file_abits
-        if wb != file_wbits or ab != file_abits:
-            raise ValueError(
-                f"configured {wb}W{ab}A but weight file declares "
-                f"{file_wbits}W{file_abits}A"
-            )
-        return ModelConfig(weight_bits=wb, act_bits=ab, anchors=self.anchors)
+    def model_config(self, weight_bits: int, act_bits: int) -> ModelConfig:
+        """The model config for a weight file declaring weight_bits/act_bits."""
+        return ModelConfig(weight_bits, act_bits, self.anchors)
+
+
+def _anchors(pairs) -> tuple:
+    """pairs as 3 (w, h) float pairs, each in (0, INPUT_SIZE]; ValueError
+    naming anchors for anything else."""
+    if not (
+        isinstance(pairs, (list, tuple))
+        and len(pairs) == 3
+        and all(isinstance(p, (list, tuple)) and len(p) == 2 for p in pairs)
+    ):
+        raise ValueError(f"anchors must be 3 [w, h] pairs, got {pairs!r}")
+    anchors = tuple(tuple(_finite_number("anchors", v) for v in p) for p in pairs)
+    for w, h in anchors:
+        if not (0.0 < w <= INPUT_SIZE and 0.0 < h <= INPUT_SIZE):
+            raise ValueError(f"anchors must lie in (0, {INPUT_SIZE}], got ({w}, {h})")
+    return anchors
 
 
 def _finite_number(key: str, value) -> float:
@@ -291,7 +278,9 @@ def _conv_step(index: int, weight_bits: int, act_bits: int, weights: np.ndarray,
 def validate_model(model: Model) -> None:
     """Walk the conv steps against the static plan; raise naming the first
     offending layer. Covers shapes, kernels, pool strides, bit widths,
-    activation kinds, and exact scale-chain continuity from 1/255 to 1/255."""
+    activation kinds, exact scale-chain continuity from 1/255 to 1/255, and
+    the accumulator bound of every layer staying below 2^31 (precision_plan),
+    so no forward pass of a valid model can overflow."""
     if len(model.layers) != len(CONV_PLAN):
         raise ValueError(f"layer count {len(model.layers)} != {len(CONV_PLAN)}")
     in_scale = PIXEL_SCALE
@@ -325,6 +314,7 @@ def validate_model(model: Model) -> None:
         in_scale = layer.requant.out_scale
     if in_scale != PIXEL_SCALE:
         raise ValueError("final output scale must be 1/255 exactly")
+    precision_plan(model)
 
 
 # ---------------------------------------------------------------------------
@@ -524,11 +514,15 @@ def precision_plan(model: Model) -> list:
     """(conv name, input lattice qmax, accumulator bound, accumulator dtype)
     per convolution: what conv2d_acc's acc_plan picks for the lattice each
     layer's input arrives on (the 8-bit pixel lattice, then the previous
-    conv's output lattice, which pools pass through)."""
+    conv's output lattice, which pools pass through). Raises ValueError
+    naming the first layer whose bound reaches 2^31."""
     rows = []
     params = QuantParams(bits=8, signed=False, scale=PIXEL_SCALE)
     for layer in model.conv_layers():
-        bound, dtype = acc_plan(params, layer.weights)
+        try:
+            bound, dtype = acc_plan(params, layer.weights)
+        except ValueError as e:
+            raise ValueError(f"{layer.name}: {e}") from e
         rows.append((layer.name, params.qmax, bound, dtype))
         params = layer.requant.out_params
     return rows
@@ -547,20 +541,18 @@ def forward(model: Model, x: QuantTensor) -> QuantTensor:
 
 
 def forward_float(model: Model, x: FloatTensor, mode: str = "fake_quant") -> FloatTensor:
-    """Reference forward passes on real-valued tensors.
+    """The fake-quant reference forward pass on a real-valued tensor;
+    "fake_quant" is the only mode.
 
-    fake_quant mirrors every integer rounding decision: inputs are snapped
-    back to their lattice (exact, because lattice points dequantize with
-    error far below half a step), convolution runs in float64 over those
-    integer values (exact, all partial sums are far below 2^53), and the
-    result goes through the very same requantize step as the integer path.
-
-    pure_float is the unquantized baseline: real weights, plain ReLU, and a
-    sigmoid on the last layer instead of the hardtanh surrogate.
+    It mirrors every integer rounding decision: inputs are snapped back to
+    their lattice (exact, because lattice points dequantize with error far
+    below half a step), convolution runs in float64 over those integer
+    values (exact, all partial sums are far below 2^53), and the result goes
+    through the very same requantize step as the integer path.
     """
     if x.shape != (INPUT_SIZE, INPUT_SIZE, 3):
         raise ValueError(f"input shape {x.shape}, expected {(INPUT_SIZE, INPUT_SIZE, 3)}")
-    if mode not in ("fake_quant", "pure_float"):
+    if mode != "fake_quant":
         raise ValueError(f"unknown mode {mode!r}")
     grid = x.grid()
     if grid.min() < 0.0 or grid.max() > 1.0:
@@ -569,23 +561,12 @@ def forward_float(model: Model, x: FloatTensor, mode: str = "fake_quant") -> Flo
     for layer in model.layers:
         w = layer.weights
         rq = layer.requant
-        if mode == "pure_float":
-            wreal = w.weights.astype(np.float64) * rq.w_scale
-            breal = None
-            if w.bias is not None:
-                breal = w.bias.astype(np.float64) * (rq.in_scale * rq.w_scale)
-            acc = conv2d_real(grid, wreal, breal)
-            if rq.activation == "relu":
-                grid = np.maximum(acc, 0.0)
-            else:
-                grid = sigmoid(acc)
-        else:
-            # snap the real carrier back onto the input lattice (exact recovery)
-            q_in = np.clip(np.rint(grid / rq.in_scale), 0, None)
-            q_out = requantize(conv2d_real(q_in, w.weights, w.bias), rq)
-            grid = q_out.grid().astype(np.float64) * rq.out_scale
-        # pooling after the activation or requantize is the unfused order, so
-        # fake_quant checks forward's pool-then-requantize independently
+        # snap the real carrier back onto the input lattice (exact recovery)
+        q_in = np.clip(np.rint(grid / rq.in_scale), 0, None)
+        q_out = requantize(conv2d_real(q_in, w.weights, w.bias), rq)
+        grid = q_out.grid().astype(np.float64) * rq.out_scale
+        # pooling after requantize is the unfused order, so this checks
+        # forward's pool-then-requantize independently
         if layer.pool_stride is not None:
             grid = maxpool_grid(grid, layer.pool_stride, pad_value=0.0)
     h, wd, c = grid.shape

@@ -10,6 +10,7 @@ activation.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -55,14 +56,15 @@ class Detection(NamedTuple):
 
 @dataclass(frozen=True)
 class GroundTruthSet:
-    """image id -> list of (x, y, w, h) pixel boxes, corner-origin."""
+    """image id -> list of (x, y, w, h) pixel boxes, corner-origin: finite,
+    w and h positive."""
 
     boxes: dict
 
     def __post_init__(self) -> None:
         for image_id, items in self.boxes.items():
             for b in items:
-                if len(b) != 4 or b[2] <= 0 or b[3] <= 0:
+                if len(b) != 4 or not all(map(math.isfinite, b)) or b[2] <= 0 or b[3] <= 0:
                     raise ValueError(f"{image_id}: degenerate box {b}")
 
     def total(self) -> int:

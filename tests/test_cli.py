@@ -130,8 +130,6 @@ class TestInfer:
         ("anchors", [[81, 82], [135, 169], [344, "319"]]),
         ("conf_threshold", [1]),
         ("conf_threshold", float("nan")),
-        ("weight_bits", 4.0),
-        ("act_bits", True),
     ])
     def test_wrongly_typed_config_value_exit_2(self, weights, image, tmp_path, capsys,
                                                key, value):
@@ -144,13 +142,31 @@ class TestInfer:
         assert code == 2
         assert key in capsys.readouterr().err
 
-    def test_config_bits_must_match_file(self, weights, image, tmp_path, capsys):
+    def test_config_bit_widths_are_unknown_keys(self, weights, image, tmp_path, capsys):
+        # bit widths come only from the weight file's header
         cfgp = tmp_path / "run.json"
-        cfgp.write_text(json.dumps({"weight_bits": 6, "act_bits": 4}))
+        cfgp.write_text(json.dumps({"weight_bits": 4}))
         code = main(["infer", "--weights", weights, "--image", image,
                      "--out", str(tmp_path / "o.ppm"), "--config", str(cfgp)])
         assert code == 2
-        assert "declares" in capsys.readouterr().err
+        assert "unknown run config keys: weight_bits" in capsys.readouterr().err
+
+    def test_accumulator_past_2_31_refused_at_load(self, image, tmp_path, capsys):
+        # conv1's bias alone puts its accumulator bound past 2^31
+        model = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        conv1 = model.layers[0]
+        bias = conv1.weights.bias.copy()
+        bias[0] = (1 << 31) - 1
+        conv1 = dataclasses.replace(
+            conv1, weights=dataclasses.replace(conv1.weights, bias=bias))
+        bad = tmp_path / "bad.lpyq"
+        save_weights(dataclasses.replace(model, layers=(conv1,) + model.layers[1:]), bad)
+        for argv in (["infer", "--image", image, "--out", str(tmp_path / "o.ppm")],
+                     ["serve", "--source", str(tmp_path), "--listen", "127.0.0.1:0"]):
+            assert main(argv + ["--weights", str(bad)]) == 2
+            err = capsys.readouterr().err
+            assert "weights: conv1:" in err and "2^31" in err
+        assert not (tmp_path / "o.ppm").exists()
 
     def test_flag_overrides_config_file(self, weights, image, tmp_path, capsys):
         # conf 1.0 from the file would keep everything out; the flag wins

@@ -66,7 +66,7 @@ def _valid_inputs(tmp_path) -> dict:
         payload=bytes(range(18)),
     )
     run = {
-        "weight_bits": 4, "act_bits": 4, "anchors": [[81, 82], [135, 169], [344, 319]],
+        "anchors": [[81, 82], [135, 169], [344, 319]],
         "conf_threshold": 0.25, "nms_iou": 0.45, "decode_mode": "direct",
     }
     return {

@@ -187,12 +187,13 @@ class TestConv:
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize(
         "bound, dtype",
-        [((1 << 24) - 1, np.float32), (1 << 24, np.float64), ((1 << 24) + 1, np.float64)],
+        [((1 << 24) - 1, np.float32), (1 << 24, np.float64), ((1 << 24) + 1, np.float64),
+         ((1 << 31) - 1, np.float64)],
     )
     def test_dtype_boundary_worst_case(self, k, bound, dtype):
         # every pixel at qmax and every weight at qmin make the interior
         # accumulator reach -bound exactly; 2^24 + 1 is the first integer
-        # float32 cannot hold
+        # float32 cannot hold, 2^31 - 1 the largest bound acc_plan accepts
         ap, wp = _u8(), _wp(bits=8)
         cin, cout = 4, 2
         x = QuantTensor.from_grid(np.full((5, 5, cin), ap.qmax, dtype=np.int32), ap)
@@ -206,14 +207,17 @@ class TestConv:
         assert acc.min() == -bound
         assert np.array_equal(acc, seven_loop_conv(x.grid(), w, bias))
 
-    def test_bound_past_guard_scans_instead_of_raising(self):
-        # the bound admits 2^31 but the real accumulator stays below it
+    def test_bound_past_guard_raises(self):
+        # the bound admits 2^31, so the layer is refused although this
+        # input's accumulator would stay below it: the guard is the bound
         x = QuantTensor.from_grid(np.zeros((3, 3, 1), dtype=np.int32), _u8())
         w = np.ones((1, 1, 3, 3), dtype=np.int32)
         bias = np.array([ACC_LIMIT - 1], dtype=np.int32)
         cw = ConvWeights(weights=w, w_params=_wp(), bias=bias)
-        assert acc_plan(x.params, cw)[0] >= ACC_LIMIT
-        assert np.all(conv2d_acc(x, cw) == ACC_LIMIT - 1)
+        with pytest.raises(ValueError, match=r"2\^31"):
+            acc_plan(x.params, cw)
+        with pytest.raises(ValueError, match=r"2\^31"):
+            conv2d_acc(x, cw)
 
     def test_plan_rejects_bound_past_float64(self):
         w = np.full((1, 1, 1, 1), -128, dtype=np.int32)
@@ -221,7 +225,7 @@ class TestConv:
         assert acc_plan(_u8(), cw) == (255 * 128, np.dtype(np.float32))
         # no filter bank that fits in memory gets near 2^53, so forge the norm
         object.__setattr__(cw, "l1_max", (1 << 53) // 255 + 1)
-        with pytest.raises(ValueError, match="float64"):
+        with pytest.raises(ValueError, match=r"2\^31"):
             acc_plan(_u8(), cw)
 
 

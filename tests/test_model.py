@@ -155,6 +155,16 @@ class TestConfigs:
                 weight_bits=4, act_bits=4, anchors=((10, 10), (20, 20), (30, 500))
             )
 
+    def test_run_config_checks_anchors_like_model_config(self):
+        for bad in (((10, 10), (20, 20)), ((10, 10), (20, 20), (0, 5)),
+                    ((10, 10), (20, 20), (30, 500)), ((10, 10), (20, 20), (30, float("inf")))):
+            with pytest.raises(ValueError, match="anchors must"):
+                RunConfig(anchors=bad)
+            with pytest.raises(ValueError, match="anchors must"):
+                ModelConfig(weight_bits=4, act_bits=4, anchors=bad)
+        assert RunConfig(anchors=[[1, 2], [3, 4], [416, 5]]).anchors == (
+            (1.0, 2.0), (3.0, 4.0), (416.0, 5.0))
+
     def test_run_config_validation(self):
         with pytest.raises(ValueError):
             RunConfig(nms_iou=1.5)
@@ -162,15 +172,6 @@ class TestConfigs:
             RunConfig(conf_threshold=-0.1)
         with pytest.raises(ValueError):
             RunConfig(decode_mode="banana")
-
-    def test_run_config_bit_resolution(self):
-        rc = RunConfig()
-        cfg = rc.model_config(4, 4)
-        assert (cfg.weight_bits, cfg.act_bits) == (4, 4)
-        rc2 = RunConfig(weight_bits=4, act_bits=4)
-        rc2.model_config(4, 4)
-        with pytest.raises(ValueError, match="declares"):
-            rc2.model_config(6, 4)
 
     def test_load_run_config(self, tmp_path):
         p = tmp_path / "run.json"
@@ -309,18 +310,6 @@ class TestForward:
         assert not worker.is_alive()
         assert faults and faults[0] / 5 <= 10
 
-    def test_pure_float_midpoint_and_range(self):
-        cfg = ModelConfig(weight_bits=4, act_bits=4)
-        m = build_model(cfg, WeightFile(4, 4, tuple(zero_weight_steps())))
-        xf = FloatTensor.from_grid(np.zeros((416, 416, 3)))
-        out = forward_float(m, xf, mode="pure_float")
-        assert np.allclose(out.data, 0.5)
-        m2 = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=3)
-        rng = np.random.default_rng(4)
-        xf2 = FloatTensor.from_grid(rng.uniform(0, 1, size=(416, 416, 3)))
-        out2 = forward_float(m2, xf2, mode="pure_float")
-        assert out2.data.min() > 0.0 and out2.data.max() < 1.0
-
     def test_float_input_range_checked(self):
         m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
         bad = FloatTensor.from_grid(np.full((416, 416, 3), 1.5))
@@ -442,6 +431,14 @@ class TestBuildModel:
                 ModelConfig(weight_bits=4, act_bits=4),
                 WeightFile(4, 4, tuple(steps)),
             )
+
+    def test_accumulator_bound_past_2_31_names_layer(self):
+        m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        steps = list(m.layers)
+        w = dataclasses.replace(steps[3].weights, bias=np.full(32, (1 << 31) - 1, np.int32))
+        steps[3] = dataclasses.replace(steps[3], weights=w)
+        with pytest.raises(ValueError, match=r"conv4: accumulator bound .* 2\^31"):
+            build_model(m.config, WeightFile(4, 4, tuple(steps)))
 
     def test_weight_range_error_names_layer(self, tmp_path):
         m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0, with_bias=False)

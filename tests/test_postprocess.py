@@ -367,6 +367,14 @@ class TestAp:
         preds, boxes = case
         assert evaluate_ap(preds, self._gt(boxes), thr) == ref_evaluate_ap(preds, boxes, thr)
 
+    @pytest.mark.parametrize("field", range(4))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_non_finite_box_is_degenerate(self, field, bad):
+        box = [0.0, 0.0, 2.0, 2.0]
+        box[field] = bad
+        with pytest.raises(ValueError, match="degenerate"):
+            self._gt({"b": [tuple(box)]})
+
     def test_perfect(self):
         gt = self._gt({"a": [(10, 10, 20, 20)], "b": [(0, 0, 5, 5)]})
         preds = [("a", 0.9, 10, 10, 20, 20), ("b", 0.8, 0, 0, 5, 5)]
