@@ -4,10 +4,12 @@ pooling, and the sigmoid / rescaled-hardtanh pair.
 The integer path carries integers in float registers: each convolution
 accumulates in float32 or float64, whichever a static bound on the
 accumulator proves exact (see acc_plan), so BLAS does the matmuls and every
-value it produces is an exact integer. Requantization then applies a single
-float64 multiplier that folds the three scales. The float reference path
-reuses the exact same requantize step, which is what makes the two paths
-provably bit-identical: both hand it the same integer accumulator values.
+value it produces is an exact integer; a convolution, with its pool, is one
+matmul over an im2col copy of its input (see conv2d_acc). Requantization
+then applies a single float64 multiplier that folds the three scales. The
+float reference path reuses the exact same requantize step, which is what
+makes the two paths provably bit-identical: both hand it the same integer
+accumulator values.
 """
 
 from __future__ import annotations
@@ -79,6 +81,12 @@ class ConvWeights:
     l1_max (largest per-output-channel sum of |weight|) and bias_max (largest
     |bias|, 0 without bias) are derived at construction; they bound every
     accumulator this filter bank can produce (see acc_plan).
+
+    phase_taps, also derived at construction, is the int8 (4*out,
+    (k+1)*(k+1)*in) matrix conv2d_acc multiplies a (k+1)x(k+1) input patch
+    by to get the four outputs of a 2x2 pool window: block p = 2*dy + dx
+    holds the taps shifted by (dy, dx) in the patch, and zeros elsewhere.
+    Block 0's top-left k x k corner is the plain im2col matrix.
     """
 
     weights: np.ndarray
@@ -86,6 +94,7 @@ class ConvWeights:
     bias: np.ndarray | None = None
     l1_max: int = field(init=False, repr=False, compare=False)
     bias_max: int = field(init=False, repr=False, compare=False)
+    phase_taps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = self.weights
@@ -120,6 +129,12 @@ class ConvWeights:
             if bias_max >= ACC_LIMIT:
                 raise ValueError("bias exceeds 32-bit accumulator range")
         object.__setattr__(self, "bias_max", bias_max)
+        # columns in patch order (row, column, channel); bits <= 8, so int8 holds
+        # every tap
+        phase = np.zeros((4, out_ch, kh + 1, kw + 1, in_ch), dtype=np.int8)
+        for p, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            phase[p, :, dy : dy + kh, dx : dx + kw] = w.transpose(0, 2, 3, 1)
+        object.__setattr__(self, "phase_taps", phase.reshape(4 * out_ch, -1))
 
     @property
     def out_channels(self) -> int:
@@ -234,53 +249,71 @@ def conv2d_acc(
 
     Padding is k // 2 on each side, of value 0, the zero-point, i.e. real 0.
     The result is a float32 or float64 (h, w, out) array chosen by acc_plan;
-    it holds exact integer values, bias (if any) included. The k horizontal
-    taps of a kernel row are folded into the contraction: row j of a
-    (pixels, k*in) copy of the flattened padded input holds pixels j..j+k-1,
-    so each kernel row is one (rows, k*in) @ (k*in, out) BLAS matmul. Rows
-    span the padded width, and the columns that wrap past the right edge
-    are cropped.
+    it holds exact integer values, bias (if any) included. Unpooled, each
+    output pixel's k x k x in window of the padded input is copied once into
+    a patch row (im2col), and one (pixels, k*k*in) @ (k*k*in, out) matmul
+    gives the accumulator.
+
+    With a stride-2 pool the patch rows are the (k+1) x (k+1) x in windows at
+    every other pixel, one per pooled pixel, covering its 2x2 pool window's
+    four conv windows. One matmul by w.phase_taps writes the four phases
+    phase-major, (4*out, pooled pixels), so the pool is two maxima over
+    contiguous halves. The bias goes on after the pool, on a quarter of the
+    pixels: max(a + b) = max(a) + b. The phase matrix adds only zero taps, so
+    every output is the same integer sum in another order and acc_plan's
+    bound still covers it. A stride-1 pool runs maxpool_grid on the result.
 
     Pooling the accumulator before requantize equals pooling its requantized
     lattice: requantize is monotone non-decreasing (a positive float64
     multiply, +offset, rint and clip each are), and max commutes with a
     monotone map. -inf padding never wins, as qmin never wins on the lattice.
 
-    The large temporaries live in this thread's scratch (see _scratch); the
-    returned array is never one.
+    ValueError for a pool stride other than 1 or 2, or a stride-2 pool of
+    odd height or width, before any arithmetic. The large temporaries live
+    in this thread's scratch (see _scratch); the returned array is never one.
     """
     k, pad = _check_conv_input(x.shape, w)
-    _bound, dtype = acc_plan(x.params, w)
     h, wd, cin = x.shape
+    if pool_stride not in (None, 1, 2):
+        raise ValueError(f"unsupported pool stride {pool_stride}")
+    phased = pool_stride == 2
+    if phased and (h % 2 or wd % 2):
+        raise ValueError(f"stride-2 pool needs even spatial dims, got {h}x{wd}")
+    _bound, dtype = acc_plan(x.params, w)
     cout = w.out_channels
-    ph, pw = h + 2 * pad, wd + 2 * pad
-    # one spare row keeps the last fold row's window inside the buffer; the
-    # whole border is zeroed on every call, since scratch holds old values
-    xp = _scratch("padded", (ph + 1, pw, cin), dtype)
+    # the whole border is zeroed on every call, since scratch holds old values
+    xp = _scratch("padded", (h + 2 * pad, wd + 2 * pad, cin), dtype)
     xp[:pad] = 0
     xp[pad + h :] = 0
     xp[pad : pad + h, :pad] = 0
     xp[pad : pad + h, pad + wd :] = 0
     xp[pad : pad + h, pad : pad + wd] = x.grid()
-    windows = np.lib.stride_tricks.sliding_window_view(xp.reshape(-1), k * cin)[::cin]
-    fold = _scratch("fold", (ph * pw, k * cin), dtype)
-    np.copyto(fold, windows[: ph * pw])
-    taps = w.weights.transpose(2, 3, 1, 0).reshape(k, k * cin, cout).astype(dtype)
-    rows = h * pw
-    acc = _scratch("acc", (rows, cout), dtype)
-    np.matmul(fold[:rows], taps[0], out=acc)
-    tmp = _scratch("tmp", (rows, cout), dtype)
-    for ky in range(1, k):
-        np.matmul(fold[ky * pw : ky * pw + rows], taps[ky], out=tmp)
-        acc += tmp
+    step, span = (2, k + 1) if phased else (1, k)
+    oh, ow = h // step, wd // step
+    sy, sx, sc = xp.strides
+    windows = np.lib.stride_tricks.as_strided(
+        xp, (oh, ow, span, span, cin), (step * sy, step * sx, sy, sx, sc), writeable=False
+    )
+    patch = _scratch("patch", (oh, ow, span, span, cin), dtype)
+    np.copyto(patch, windows)
+    patch = patch.reshape(oh * ow, span * span * cin)
+    out = np.empty((oh, ow, cout), dtype=dtype)
+    flat = out.reshape(oh * ow, cout)
+    if phased:
+        prod = _scratch("phase", (4 * cout, oh * ow), dtype)
+        np.matmul(w.phase_taps.astype(dtype), patch.T, out=prod)
+        half = np.maximum(prod[: 2 * cout], prod[2 * cout :], out=prod[: 2 * cout])
+        np.maximum(half[:cout], half[cout:], out=flat.T)
+    else:
+        taps = w.phase_taps[:cout].reshape(cout, k + 1, k + 1, cin)[:, :k, :k]
+        np.matmul(patch, taps.astype(dtype).reshape(cout, -1).T, out=flat)
     if w.bias is not None:
         # one bias row per output row: cheaper than broadcasting a short vector
-        acc_rows = acc.reshape(h, pw * cout)
-        acc_rows += np.tile(w.bias.astype(dtype), pw)
-    grid = acc.reshape(h, pw, cout)[:, :wd]
-    if pool_stride is None:
-        return grid.copy()
-    return maxpool_grid(grid, pool_stride, pad_value=-np.inf)
+        rows = out.reshape(oh, ow * cout)
+        rows += np.tile(w.bias.astype(dtype), ow)
+    if pool_stride == 1:
+        return maxpool_grid(out, 1, pad_value=-np.inf)
+    return out
 
 
 def conv2d_real(

@@ -171,9 +171,14 @@ class TestConv:
         cout=st.integers(1, 3),
         h=st.integers(1, 6),
         wd=st.integers(1, 6),
+        pool_stride=st.sampled_from([None, 1, 2]),
         seed=st.integers(0, 2**32 - 1),
     )
-    def test_exact_for_every_bit_config(self, wbits, abits, k, cin, cout, h, wd, seed):
+    def test_exact_for_every_bit_config(
+        self, wbits, abits, k, cin, cout, h, wd, pool_stride, seed
+    ):
+        if pool_stride == 2:
+            h, wd = h + h % 2, wd + wd % 2
         rng = np.random.default_rng(seed)
         wp, ap = _wp(bits=wbits), QuantParams(bits=abits, signed=False, scale=1.0)
         x = QuantTensor.from_grid(
@@ -182,7 +187,10 @@ class TestConv:
         w = rng.integers(wp.qmin, wp.qmax + 1, size=(cout, cin, k, k)).astype(np.int32)
         bias = rng.integers(-1000, 1001, size=cout).astype(np.int32)
         cw = ConvWeights(weights=w, w_params=wp, bias=bias)
-        assert np.array_equal(conv2d_acc(x, cw), seven_loop_conv(x.grid(), w, bias))
+        want = seven_loop_conv(x.grid(), w, bias)
+        if pool_stride is not None:
+            want = maxpool_grid(want, pool_stride, pad_value=-(1 << 40))
+        assert np.array_equal(conv2d_acc(x, cw, pool_stride=pool_stride), want)
 
     @pytest.mark.parametrize("k", [1, 3])
     @pytest.mark.parametrize(
@@ -193,19 +201,36 @@ class TestConv:
     def test_dtype_boundary_worst_case(self, k, bound, dtype):
         # every pixel at qmax and every weight at qmin make the interior
         # accumulator reach -bound exactly; 2^24 + 1 is the first integer
-        # float32 cannot hold, 2^31 - 1 the largest bound acc_plan accepts
+        # float32 cannot hold, 2^31 - 1 the largest bound acc_plan accepts.
+        # On 6x6 the pool window at pooled pixel (1, 1) is all interior.
         ap, wp = _u8(), _wp(bits=8)
         cin, cout = 4, 2
-        x = QuantTensor.from_grid(np.full((5, 5, cin), ap.qmax, dtype=np.int32), ap)
+        x = QuantTensor.from_grid(np.full((6, 6, cin), ap.qmax, dtype=np.int32), ap)
         w = np.full((cout, cin, k, k), wp.qmin, dtype=np.int32)
         reach = ap.qmax * (-wp.qmin) * cin * k * k
         bias = np.full(cout, -(bound - reach), dtype=np.int32)
         cw = ConvWeights(weights=w, w_params=wp, bias=bias)
         assert acc_plan(ap, cw) == (bound, np.dtype(dtype))
-        acc = conv2d_acc(x, cw)
-        assert acc.dtype == dtype
-        assert acc.min() == -bound
-        assert np.array_equal(acc, seven_loop_conv(x.grid(), w, bias))
+        want = seven_loop_conv(x.grid(), w, bias)
+        for acc, ref in ((conv2d_acc(x, cw), want),
+                         (conv2d_acc(x, cw, pool_stride=2), maxpool_grid(want, 2))):
+            assert acc.dtype == dtype
+            assert acc.min() == -bound
+            assert np.array_equal(acc, ref)
+
+    @pytest.mark.parametrize("h, wd", [(5, 6), (6, 5), (1, 1)])
+    def test_odd_dims_under_stride_2_pool_rejected_first(self, h, wd, monkeypatch):
+        x, cw = _conv_case(np.random.default_rng(2), h, wd)
+        monkeypatch.setattr(np, "matmul", _no_matmul)
+        with pytest.raises(ValueError, match="even"):
+            conv2d_acc(x, cw, pool_stride=2)
+
+    @pytest.mark.parametrize("stride", [0, 3, 4, -2, 2.5])
+    def test_bad_pool_stride_rejected_first(self, stride, monkeypatch):
+        x, cw = _conv_case(np.random.default_rng(3), 4, 4)
+        monkeypatch.setattr(np, "matmul", _no_matmul)
+        with pytest.raises(ValueError, match="stride"):
+            conv2d_acc(x, cw, pool_stride=stride)
 
     def test_bound_past_guard_raises(self):
         # the bound admits 2^31, so the layer is refused although this
@@ -418,6 +443,10 @@ class TestPoolBeforeRequantize:
         assert np.array_equal(conv2d_acc(x, cw, pool_stride=stride), want)
 
 
+def _no_matmul(*args, **kwargs):
+    raise AssertionError("matmul ran before the arguments were checked")
+
+
 def _conv_case(rng, h, wd, cin=3, cout=4, k=3):
     x = QuantTensor.from_grid(rng.integers(1, 256, (h, wd, cin)).astype(np.int32), _u8())
     w = rng.integers(-128, 128, (cout, cin, k, k)).astype(np.int32)
@@ -432,18 +461,22 @@ class TestScratch:
         rng = np.random.default_rng(8)
         (x1, cw), (x2, _) = _conv_case(rng, 6, 6), _conv_case(rng, 6, 6)
         a = conv2d_acc(x1, cw)
-        pooled = conv2d_acc(x1, cw, pool_stride=2)
+        pooled_a = conv2d_acc(x1, cw, pool_stride=2)
         b = conv2d_acc(x2, cw)
+        pooled_b = conv2d_acc(x2, cw, pool_stride=2)
         want_a = seven_loop_conv(x1.grid(), cw.weights, cw.bias)
+        want_b = seven_loop_conv(x2.grid(), cw.weights, cw.bias)
         assert np.array_equal(a, want_a)
-        assert np.array_equal(pooled, maxpool_grid(want_a, 2))
-        assert np.array_equal(b, seven_loop_conv(x2.grid(), cw.weights, cw.bias))
+        assert np.array_equal(pooled_a, maxpool_grid(want_a, 2))
+        assert np.array_equal(b, want_b)
+        assert np.array_equal(pooled_b, maxpool_grid(want_b, 2))
         assert not np.shares_memory(a, b)
+        assert not np.shares_memory(pooled_a, pooled_b)
 
     def test_alternating_padding_with_colliding_shapes(self):
         # a 5x6 input under a 3x3 kernel (padded to 7x8) and a 7x8 input under
-        # a 1x1 kernel (no padding) both fill the same 8x8 padded buffer, one
-        # spare row included: the border must not keep the other call's pixels
+        # a 1x1 kernel (no padding) both fill the same 7x8 padded buffer: the
+        # border must not keep the other call's pixels
         rng = np.random.default_rng(9)
         for i in range(6):
             x, cw = _conv_case(rng, 5, 6) if i % 2 == 0 else _conv_case(rng, 7, 8, k=1)

@@ -57,6 +57,13 @@ def rand_image(rng, w=64, h=48):
     )
 
 
+def _openblas_with_symbols():
+    lib = pipeline._openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        return None
+    return lib
+
+
 # Finite doubles round to float32 inf from max + half an ulp up; half the
 # smallest float32 subnormal rounds to 0.
 F32_MAX = float(np.finfo(np.float32).max)
@@ -367,6 +374,25 @@ class TestRunPipeline:
             f"{d.score:.6f} {d.cx:.6f} {d.cy:.6f} {d.w:.6f} {d.h:.6f}" for d in want
         ]
 
+    def test_pins_blas_to_one_thread(self, model):
+        lib = _openblas_with_symbols()
+        if lib is None:
+            pytest.skip("numpy without its bundled scipy-openblas")
+        lib.scipy_openblas_set_num_threads64_(2)  # as if no run had pinned it yet
+        got = []
+        stats = run_pipeline([rand_image(np.random.default_rng(5))], model, got.append)
+        assert stats.frames == 1
+        assert (stats.blas_threads_found, stats.blas_threads_set) == (2, 1)
+        assert lib.scipy_openblas_get_num_threads64_() == 1
+
+    @pytest.mark.parametrize("found", [lambda: None, object], ids=["no-library", "no-symbol"])
+    def test_runs_without_blas_symbols(self, model, monkeypatch, found):
+        monkeypatch.setattr(pipeline, "_openblas", found)
+        got = []
+        stats = run_pipeline([rand_image(np.random.default_rng(6))], model, got.append)
+        assert [m.frame_id for m in got[:-1]] == [0] and got[-1] is None
+        assert (stats.blas_threads_found, stats.blas_threads_set) == (None, None)
+
     def test_queue_capacity_validated(self):
         with pytest.raises(ValueError):
             PipelineConfig(queue_capacity=0)
@@ -434,6 +460,9 @@ class TestServeTcp:
         assert [m.frame_id for m in msgs] == [0, 1, 2]
         assert [m.payload for m in msgs] == [img.pixels for img in imgs]
         assert result["stats"].frames == 3
+        assert result["stats"].blas_threads_set == (
+            None if _openblas_with_symbols() is None else 1
+        )
 
     def test_second_client_resumes_stream(self, model):
         # enough frames that the in-flight window (4 queues + 4 workers)
