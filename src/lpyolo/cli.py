@@ -152,7 +152,8 @@ def cmd_bench(args) -> int:
         headroom = math.log2(ACC_LIMIT / bound) if bound else math.inf
         print(f"{name:<8}{qmax:>8}{bound:>12}{dtype.name:>9}{headroom:>15.2f}",
               file=sys.stderr)
-    # BLAS helper threads count too, so CPU time can exceed the CNN's wall time
+    # BLAS runs on one thread (set in build_model), so CPU time tracks the CNN's
+    # wall time; only where the thread count cannot be set do helpers add to it
     user, system, faults = (v / args.iters for v in cnn_usage)
     print(f"CNN per pass: user_cpu_ms {user * 1e3:.3f} sys_cpu_ms {system * 1e3:.3f} "
           f"minor_faults {faults:.1f}", file=sys.stderr)

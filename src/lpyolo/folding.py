@@ -22,7 +22,6 @@ __all__ = [
     "all_cycles",
     "estimate_throughput",
     "balance_folding",
-    "full_unfold",
     "parse_folding_spec",
     "format_report",
     "DEFAULT_CLOCK_HZ",
@@ -102,10 +101,6 @@ def estimate_throughput(spec: FoldingSpec, clock_hz: float = DEFAULT_CLOCK_HZ):
     worst = max(c for _n, c in rows)
     bottleneck = next(n for n, c in rows if c == worst)
     return clock_hz / worst, bottleneck
-
-
-def full_unfold() -> FoldingSpec:
-    return FoldingSpec(folds=tuple((w.mh, w.mw) for _n, w in conv_works()))
 
 
 def _divisors(n: int) -> list:

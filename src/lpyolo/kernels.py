@@ -10,11 +10,19 @@ then applies a single float64 multiplier that folds the three scales. The
 float reference path reuses the exact same requantize step, which is what
 makes the two paths provably bit-identical: both hand it the same integer
 accumulator values.
+
+Every matmul runs on one BLAS thread: model.build_model calls
+_pin_blas_threads, which sets numpy's bundled OpenBLAS to one thread for
+the whole process.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
+import logging
 import math
+import os
 import threading
 from dataclasses import dataclass, field
 
@@ -35,6 +43,8 @@ __all__ = [
     "maxpool",
     "maxpool_grid",
 ]
+
+log = logging.getLogger("lpyolo.kernels")
 
 # Accumulators must stay within signed 32-bit range, as the hardware's do;
 # acc_plan refuses any layer whose bound reaches it. The largest bound of the
@@ -196,6 +206,40 @@ class RequantSpec:
         if self.activation == "relu":
             return 0.0
         return 0.5 / self.out_scale
+
+
+def _openblas():
+    """numpy's bundled OpenBLAS (the copy numpy already loaded), or None."""
+    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
+        try:
+            return ctypes.CDLL(path)
+        except OSError:
+            continue
+    return None
+
+
+def _pin_blas_threads() -> None:
+    """Set numpy's bundled OpenBLAS to one thread for the whole process and
+    log the thread counts found and set; change nothing, silently, when the
+    library or its thread-count symbols are missing.
+
+    With OpenBLAS's default threads, each conv matmul in the infer stage of
+    a paced stream took at least ~7.5 ms, waiting on OpenBLAS's helper
+    thread (a 1x1 conv's 0.2 ms matmul took 7.6 ms), and forward after an
+    idle gap took ~146 ms against ~21 ms; with one thread both are gone.
+    """
+    lib = _openblas()
+    try:
+        get = lib.scipy_openblas_get_num_threads64_
+        put = lib.scipy_openblas_set_num_threads64_
+    except AttributeError:  # no library (None) or not this build's symbols
+        return
+    get.argtypes, get.restype = [], ctypes.c_int
+    put.argtypes, put.restype = [ctypes.c_int], None
+    found = get()
+    put(1)
+    log.info("BLAS threads: found %s, set %s", found, get())
 
 
 def _check_conv_input(x_shape, w: ConvWeights):

@@ -20,6 +20,7 @@ import numpy as np
 from .kernels import (
     ConvWeights,
     RequantSpec,
+    _pin_blas_threads,
     acc_plan,
     conv2d_acc,
     conv2d_real,
@@ -348,7 +349,7 @@ def save_weights(model: Model, path) -> None:
     out += _HEADER.pack(
         WEIGHT_MAGIC, WEIGHT_VERSION, cfg.weight_bits, cfg.act_bits, len(CONV_PLAN)
     )
-    for i, layer in enumerate(model.conv_layers(), start=1):
+    for i, layer in enumerate(model.layers, start=1):
         w = layer.weights
         rq = layer.requant
         out += _LAYER_HEAD.pack(
@@ -445,9 +446,12 @@ def _restore_exact_scale(stored: float, exact: float, what: str) -> float:
 
 
 def build_model(cfg: ModelConfig, wf: WeightFile) -> Model:
-    """The model of cfg running wf's conv steps, validated against the plan."""
+    """The model of cfg running wf's conv steps, validated against the plan.
+    Sets BLAS to one thread, process-wide (kernels._pin_blas_threads), so
+    every forward pass, in any thread, runs its matmuls on one thread."""
     model = Model(config=cfg, layers=tuple(wf.layers))
     validate_model(model)
+    _pin_blas_threads()
     return model
 
 
@@ -518,7 +522,7 @@ def precision_plan(model: Model) -> list:
     naming the first layer whose bound reaches 2^31."""
     rows = []
     params = QuantParams(bits=8, signed=False, scale=PIXEL_SCALE)
-    for layer in model.conv_layers():
+    for layer in model.layers:
         try:
             bound, dtype = acc_plan(params, layer.weights)
         except ValueError as e:

@@ -7,18 +7,13 @@ controller re-raises once all workers have flushed.
 
 Also defines the little-endian TCP framing for annotated frames and a
 single-client server with backpressure all the way down to the socket.
-
-run_pipeline and serve_tcp set numpy's bundled OpenBLAS to one thread,
-process-wide (see _pin_blas_threads).
+The infer stage's matmuls run on one BLAS thread, set when the model was
+built (model.build_model).
 """
 
 from __future__ import annotations
 
-import ctypes
-import glob
-import io
 import logging
-import os
 import queue
 import socket
 import struct
@@ -44,7 +39,6 @@ __all__ = [
     "STAGES",
     "encode_frame",
     "encode_end",
-    "decode_frame",
     "read_frame",
     "run_staged",
     "run_pipeline",
@@ -142,18 +136,11 @@ class PipelineConfig:
 
 @dataclass
 class PipelineStats:
-    """blas_threads_found/_set: numpy's OpenBLAS thread count before and
-    after run_pipeline or serve_tcp pinned it; None when the library or its
-    thread-count symbols are missing (nothing was changed) or the run did
-    not pin."""
-
     frames: int
     wall_seconds: float
     fps: float
     stage_busy: dict
     latencies: list
-    blas_threads_found: int | None = None
-    blas_threads_set: int | None = None
 
 
 # ---------------------------------------------------------------------------
@@ -214,17 +201,6 @@ def read_frame(f):
         return FrameMessage(frame_id, width, height, dets, payload)
     except ValueError as e:  # a non-finite detection; the header fits by construction
         raise WireError(str(e)) from e
-
-
-def decode_frame(data: bytes):
-    """Parse one complete message from a byte string (None = end marker);
-    trailing bytes are a length error."""
-    buf = io.BytesIO(data)
-    msg = read_frame(buf)
-    rest = buf.read()
-    if rest:
-        raise WireLengthError(f"{len(rest)} trailing bytes after message")
-    return msg
 
 
 # ---------------------------------------------------------------------------
@@ -321,44 +297,6 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None) -> Pipeline
 
 
 # ---------------------------------------------------------------------------
-# BLAS threads
-
-
-def _openblas():
-    """numpy's bundled OpenBLAS (the copy numpy already loaded), or None."""
-    libs = os.path.join(os.path.dirname(os.path.dirname(np.__file__)), "numpy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*"))):
-        try:
-            return ctypes.CDLL(path)
-        except OSError:
-            continue
-    return None
-
-
-def _pin_blas_threads() -> tuple[int | None, int | None]:
-    """Set numpy's bundled OpenBLAS to one thread for the whole process;
-    return the thread counts (found, set), or (None, None), changing
-    nothing, when the library or its thread-count symbols are missing.
-
-    With OpenBLAS's default threads, each conv matmul in the infer stage of
-    a paced stream took at least ~7.5 ms, waiting on OpenBLAS's helper
-    thread (a 1x1 conv's 0.2 ms matmul took 7.6 ms); with one thread the
-    floor is gone.
-    """
-    lib = _openblas()
-    try:
-        get = lib.scipy_openblas_get_num_threads64_
-        put = lib.scipy_openblas_set_num_threads64_
-    except AttributeError:  # no library (None) or not this build's symbols
-        return None, None
-    get.argtypes, get.restype = [], ctypes.c_int
-    put.argtypes, put.restype = [ctypes.c_int], None
-    found = get()
-    put(1)
-    return found, get()
-
-
-# ---------------------------------------------------------------------------
 # The real four stages
 
 
@@ -388,25 +326,22 @@ def _build_stages(model: Model, run_cfg: RunConfig, sink):
     return list(zip(STAGES, (preprocess, infer, postprocess, stream)))
 
 
-def _run_numbered(pairs, model: Model, sink, cfg, run_cfg, blas) -> PipelineStats:
+def _run_numbered(pairs, model: Model, sink, cfg, run_cfg) -> PipelineStats:
     cfg = cfg or PipelineConfig()
     run_cfg = run_cfg or RunConfig()
     stages = _build_stages(model, run_cfg, sink)
-    stats = run_staged(
+    return run_staged(
         pairs, stages, queue_capacity=cfg.queue_capacity,
         on_end=lambda: sink(None),
     )
-    stats.blas_threads_found, stats.blas_threads_set = blas
-    return stats
 
 
 def run_pipeline(source, model: Model, sink, cfg: PipelineConfig | None = None,
                  run_cfg: RunConfig | None = None) -> PipelineStats:
     """Push every frame (an imaging.Image iterable) through the four-stage
     pipeline; sink receives one FrameMessage per frame in order, then None
-    as the end-of-stream marker. Sets BLAS to one thread, process-wide
-    (_pin_blas_threads)."""
-    return _run_numbered(enumerate(source), model, sink, cfg, run_cfg, _pin_blas_threads())
+    as the end-of-stream marker."""
+    return _run_numbered(enumerate(source), model, sink, cfg, run_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -421,11 +356,8 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
     from wherever the shared source iterator stopped (frames in flight
     during the failure are not replayed).
     Frame ids number source frames, so they keep counting across a client
-    swap. Returns the stats of the run that exhausted the source. Sets BLAS
-    to one thread, process-wide (_pin_blas_threads).
+    swap. Returns the stats of the run that exhausted the source.
     """
-    blas = _pin_blas_threads()
-    log.info("BLAS threads: found %s, set %s", *blas)
     frames = enumerate(iter(source))
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
@@ -440,7 +372,7 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
             log.info("client %s connected", peer)
             try:
                 sink = _socket_sink(conn)
-                stats = _run_numbered(frames, model, sink, cfg, run_cfg, blas)
+                stats = _run_numbered(frames, model, sink, cfg, run_cfg)
                 log.info(
                     "stream complete: %d frames in %.2fs", stats.frames,
                     stats.wall_seconds,

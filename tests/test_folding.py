@@ -10,7 +10,6 @@ from lpyolo.folding import (
     conv_works,
     estimate_throughput,
     format_report,
-    full_unfold,
     layer_cycles,
     parse_folding_spec,
 )
@@ -32,6 +31,11 @@ EXPECTED_WORKS = [
 
 def ones_spec():
     return FoldingSpec(folds=tuple((1, 1) for _ in range(10)))
+
+
+def full_unfold():
+    """The top rung of every ladder: a budget of every layer's MW*MH."""
+    return balance_folding(sum(w.mw * w.mh for _n, w in conv_works()))
 
 
 class TestWorks:
@@ -170,8 +174,9 @@ class TestBalance:
 
     def test_huge_budget_fully_unfolds(self):
         total = sum(w.mh * w.mw for _n, w in conv_works())
-        assert balance_folding(total) == full_unfold()
-        assert balance_folding(total * 10) == full_unfold()
+        unfolded = FoldingSpec(folds=tuple((w.mh, w.mw) for _n, w in conv_works()))
+        assert balance_folding(total) == unfolded
+        assert balance_folding(total * 10) == unfolded
 
     def test_budget_respected(self):
         for budget in (10, 64, 500, 4096):

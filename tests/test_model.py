@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import json
+import logging
 import resource
 import threading
 
@@ -30,6 +31,9 @@ from lpyolo.model import (
     save_weights,
     validate_model,
 )
+from lpyolo import kernels
+from lpyolo.cli import main
+from lpyolo.imaging import Image, write_ppm
 from lpyolo.kernels import ConvWeights, RequantSpec
 from lpyolo.qcore import FloatTensor, QuantParams, QuantTensor
 
@@ -129,7 +133,7 @@ class TestPlan:
         expected = sum(cin * cout * k * k for cin, cout, k in plan)
         assert expected == 350696
         m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
-        assert sum(l.weights.weights.size for l in m.conv_layers()) == expected
+        assert sum(l.weights.weights.size for l in m.layers) == expected
 
 
 class TestConfigs:
@@ -192,7 +196,7 @@ class TestRandomInit:
     def test_deterministic(self):
         a = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=123)
         b = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=123)
-        for la, lb in zip(a.conv_layers(), b.conv_layers()):
+        for la, lb in zip(a.layers, b.layers):
             assert np.array_equal(la.weights.weights, lb.weights.weights)
             assert la.requant == lb.requant
 
@@ -200,7 +204,7 @@ class TestRandomInit:
         a = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
         b = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=1)
         assert not np.array_equal(
-            a.conv_layers()[0].weights.weights, b.conv_layers()[0].weights.weights
+            a.layers[0].weights.weights, b.layers[0].weights.weights
         )
 
     def test_passes_validation(self):
@@ -210,7 +214,7 @@ class TestRandomInit:
 
     def test_bit_placement(self):
         m = random_init(ModelConfig(weight_bits=6, act_bits=4), seed=0)
-        convs = m.conv_layers()
+        convs = m.layers
         assert convs[0].weights.w_params.bits == 8
         assert convs[0].requant.out_bits == 8
         assert all(c.weights.w_params.bits == 6 for c in convs[1:9])
@@ -222,7 +226,7 @@ class TestRandomInit:
 
     def test_no_bias_option(self):
         m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0, with_bias=False)
-        assert all(c.weights.bias is None for c in m.conv_layers())
+        assert all(c.weights.bias is None for c in m.layers)
 
     def test_layers_are_ten_conv_steps_with_fused_pools(self):
         m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
@@ -450,3 +454,52 @@ class TestBuildModel:
         path.write_bytes(bytes(blob))
         with pytest.raises(WeightFileError, match="conv2"):
             load_weights(path)
+
+
+def _openblas_with_symbols():
+    lib = kernels._openblas()
+    if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+        pytest.skip("numpy without its bundled scipy-openblas")
+    return lib
+
+
+class TestBlasThreads:
+    """Building a model sets numpy's OpenBLAS to one thread, process-wide;
+    each test first sets two, as if no model had been built yet."""
+
+    def test_pins_blas_to_one_thread(self, caplog):
+        lib = _openblas_with_symbols()
+        lib.scipy_openblas_set_num_threads64_(2)
+        with caplog.at_level(logging.INFO, logger="lpyolo.kernels"):
+            random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        assert lib.scipy_openblas_get_num_threads64_() == 1
+        assert "BLAS threads: found 2, set 1" in caplog.messages
+
+    def test_build_model_pins(self, tmp_path):
+        lib = _openblas_with_symbols()
+        m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        path = tmp_path / "w.lpyq"
+        save_weights(m, path)
+        lib.scipy_openblas_set_num_threads64_(2)
+        wf = load_weights(path)
+        assert lib.scipy_openblas_get_num_threads64_() == 2  # parsing alone does not
+        build_model(m.config, wf)
+        assert lib.scipy_openblas_get_num_threads64_() == 1
+
+    def test_cli_infer_pins(self, tmp_path):
+        lib = _openblas_with_symbols()
+        weights, frame = tmp_path / "w.lpyq", tmp_path / "f.ppm"
+        save_weights(random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0), weights)
+        write_ppm(Image(width=8, height=8, pixels=bytes(3 * 8 * 8)), frame)
+        lib.scipy_openblas_set_num_threads64_(2)
+        assert main(["infer", "--weights", str(weights), "--image", str(frame),
+                     "--out", str(tmp_path / "o.ppm")]) == 0
+        assert lib.scipy_openblas_get_num_threads64_() == 1
+
+    @pytest.mark.parametrize("found", [lambda: None, object], ids=["no-library", "no-symbol"])
+    def test_runs_without_blas_symbols(self, monkeypatch, caplog, found):
+        monkeypatch.setattr(kernels, "_openblas", found)
+        with caplog.at_level(logging.INFO, logger="lpyolo.kernels"):
+            m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        assert forward(m, u8_input(fill=7)).shape == (13, 13, 18)
+        assert caplog.messages == []

@@ -25,7 +25,6 @@ from lpyolo.pipeline import (
     WireLengthError,
     WireMagicError,
     WireVersionError,
-    decode_frame,
     encode_end,
     encode_frame,
     read_frame,
@@ -57,11 +56,12 @@ def rand_image(rng, w=64, h=48):
     )
 
 
-def _openblas_with_symbols():
-    lib = pipeline._openblas()
-    if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads64_"):
-        return None
-    return lib
+def read_one(blob):
+    """The message in blob, which must hold exactly one (read to the end)."""
+    buf = io.BytesIO(blob)
+    msg = read_frame(buf)
+    assert buf.read() == b""
+    return msg
 
 
 # Finite doubles round to float32 inf from max + half an ulp up; half the
@@ -161,7 +161,7 @@ class TestWire:
 
     def test_round_trip(self):
         m = frame_msg()
-        assert decode_frame(encode_frame(m)) == m
+        assert read_one(encode_frame(m)) == m
 
     def test_round_trip_boundaries(self):
         for m in (
@@ -170,56 +170,52 @@ class TestWire:
             frame_msg(frame_id=123, w=65535, h=0, dets=()),
             frame_msg(dets=((3.0e38, -3.0e38, 1e-38, 0.0, 1.0, 0.5),)),
         ):
-            assert decode_frame(encode_frame(m)) == m
+            assert read_one(encode_frame(m)) == m
 
     def test_end_round_trip(self):
-        assert decode_frame(encode_end()) is None
+        assert read_one(encode_end()) is None
 
     def test_bad_magic(self):
         blob = b"XXXX" + encode_end()[4:]
         with pytest.raises(WireMagicError):
-            decode_frame(blob)
+            read_one(blob)
 
     def test_bad_version(self):
         blob = bytearray(encode_end())
         blob[4] = 9
         with pytest.raises(WireVersionError):
-            decode_frame(bytes(blob))
+            read_one(bytes(blob))
 
     def test_unknown_type(self):
         blob = bytearray(encode_end())
         blob[5] = 3
         with pytest.raises(WireError, match="type"):
-            decode_frame(bytes(blob))
+            read_one(bytes(blob))
 
     def test_nonzero_end_fields(self):
         head = struct.pack("<4sBBQHHH", b"LPYO", 1, 2, 5, 0, 0, 0)
         with pytest.raises(WireError, match="nonzero"):
-            decode_frame(head + struct.pack("<I", 0))
+            read_one(head + struct.pack("<I", 0))
 
     def test_payload_length_mismatch(self):
         head = struct.pack("<4sBBQHHH", b"LPYO", 1, 1, 0, 1, 1, 0)
         blob = head + struct.pack("<I", 5) + b"12345"
         with pytest.raises(WireLengthError, match="payload"):
-            decode_frame(blob)
+            read_one(blob)
 
     def test_truncated(self):
         blob = encode_frame(frame_msg())
         with pytest.raises(WireLengthError, match="short"):
-            decode_frame(blob[:-1])
+            read_one(blob[:-1])
         with pytest.raises(WireLengthError):
-            decode_frame(blob[:10])
-
-    def test_trailing_bytes(self):
-        with pytest.raises(WireLengthError, match="trailing"):
-            decode_frame(encode_end() + b"\x00")
+            read_one(blob[:10])
 
     @pytest.mark.parametrize("cx", [math.nan, math.inf, -math.inf])
     def test_non_finite_detection_is_wire_error(self, cx):
         blob = bytearray(encode_frame(frame_msg()))
         blob[20:24] = struct.pack("<f", cx)  # the first detection's cx
         with pytest.raises(WireError, match="non-finite"):
-            decode_frame(bytes(blob))
+            read_one(bytes(blob))
 
     def test_stream_of_messages(self):
         msgs = [frame_msg(frame_id=i) for i in range(3)]
@@ -374,25 +370,6 @@ class TestRunPipeline:
             f"{d.score:.6f} {d.cx:.6f} {d.cy:.6f} {d.w:.6f} {d.h:.6f}" for d in want
         ]
 
-    def test_pins_blas_to_one_thread(self, model):
-        lib = _openblas_with_symbols()
-        if lib is None:
-            pytest.skip("numpy without its bundled scipy-openblas")
-        lib.scipy_openblas_set_num_threads64_(2)  # as if no run had pinned it yet
-        got = []
-        stats = run_pipeline([rand_image(np.random.default_rng(5))], model, got.append)
-        assert stats.frames == 1
-        assert (stats.blas_threads_found, stats.blas_threads_set) == (2, 1)
-        assert lib.scipy_openblas_get_num_threads64_() == 1
-
-    @pytest.mark.parametrize("found", [lambda: None, object], ids=["no-library", "no-symbol"])
-    def test_runs_without_blas_symbols(self, model, monkeypatch, found):
-        monkeypatch.setattr(pipeline, "_openblas", found)
-        got = []
-        stats = run_pipeline([rand_image(np.random.default_rng(6))], model, got.append)
-        assert [m.frame_id for m in got[:-1]] == [0] and got[-1] is None
-        assert (stats.blas_threads_found, stats.blas_threads_set) == (None, None)
-
     def test_queue_capacity_validated(self):
         with pytest.raises(ValueError):
             PipelineConfig(queue_capacity=0)
@@ -460,9 +437,6 @@ class TestServeTcp:
         assert [m.frame_id for m in msgs] == [0, 1, 2]
         assert [m.payload for m in msgs] == [img.pixels for img in imgs]
         assert result["stats"].frames == 3
-        assert result["stats"].blas_threads_set == (
-            None if _openblas_with_symbols() is None else 1
-        )
 
     def test_second_client_resumes_stream(self, model):
         # enough frames that the in-flight window (4 queues + 4 workers)
