@@ -15,6 +15,7 @@ import argparse
 import math
 import os
 import resource
+import socket
 import sys
 import time
 from dataclasses import replace
@@ -189,6 +190,8 @@ def cmd_serve(args) -> int:
             run,
             on_bound=lambda addr: print(f"listening on {addr[0]}:{addr[1]}", flush=True),
         )
+    except socket.gaierror as e:  # only the bind resolves a name
+        _fail_input("listen address", e)
     except PipelineError as e:
         # a frame that cannot be read is bad input, like any other image
         if e.stage == "source" and isinstance(e.original, (OSError, ValueError)):

@@ -1,14 +1,18 @@
 """Streaming inference: preprocess -> infer -> postprocess -> stream, one
 worker thread per stage, bounded blocking queues in between (a full queue
-stalls the producer; nothing is ever dropped). End-of-stream is an in-band
-None sentinel pushed through every queue. A failing stage records its error,
+stalls the producer; nothing is ever dropped). Queue items are the bare
+payloads; end-of-stream is a private sentinel object pushed through every
+queue, so None is an ordinary item. A failing stage records its error,
 switches to draining its input so upstream never deadlocks, and the
-controller re-raises once all workers have flushed.
+controller re-raises once all workers have flushed. An interrupt in the
+controller (Ctrl-C) is recorded the same way, so the stages drain and exit
+before it propagates.
 
-Also defines the little-endian TCP framing for annotated frames and a
-single-client server with backpressure all the way down to the socket.
-The infer stage's matmuls run on one BLAS thread, set when the model was
-built (model.build_model).
+Also defines the little-endian TCP framing for annotated frames and
+serve_tcp, the one entry point that runs the four stages: a single-client
+server with backpressure all the way down to the socket. The infer stage's
+matmuls run on one BLAS thread, set when the model was built
+(model.build_model).
 """
 
 from __future__ import annotations
@@ -41,7 +45,6 @@ __all__ = [
     "encode_end",
     "read_frame",
     "run_staged",
-    "run_pipeline",
     "serve_tcp",
 ]
 
@@ -140,7 +143,6 @@ class PipelineStats:
     wall_seconds: float
     fps: float
     stage_busy: dict
-    latencies: list
 
 
 # ---------------------------------------------------------------------------
@@ -207,6 +209,9 @@ def read_frame(f):
 # Staged engine
 
 
+_END = object()  # end-of-stream; every other object, None included, is an item
+
+
 def run_staged(source, stages, queue_capacity: int = 4, on_end=None) -> PipelineStats:
     """Run items from source through a chain of (name, fn) stages, one
     thread each. The last stage's return value is discarded; give it a
@@ -214,7 +219,9 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None) -> Pipeline
     stage's thread after the final item, error or not.
 
     Raises PipelineError with the originating stage once everything has
-    drained. Item order is preserved end to end.
+    drained. Item order is preserved end to end. An interrupt raised while
+    feeding the source (KeyboardInterrupt) makes the stages drain without
+    work; it is re-raised once every stage thread has exited.
     """
     if not stages:
         raise ValueError("need at least one stage")
@@ -223,7 +230,6 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None) -> Pipeline
     qs = [queue.Queue(maxsize=queue_capacity) for _ in stages]
     names = [name for name, _fn in stages]
     busy = [0.0] * len(stages)
-    latencies: list = []
     done = [0]
     err: list = []
     err_lock = threading.Lock()
@@ -237,29 +243,22 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None) -> Pipeline
         name, fn = stages[idx]
         qin = qs[idx]
         qout = qs[idx + 1] if idx + 1 < len(qs) else None
-        failed = False
-        while True:
-            item = qin.get()
-            if item is None:
-                break
-            if failed or err:
+        while (item := qin.get()) is not _END:
+            if err:
                 continue  # drain without work so upstream never blocks
-            born, payload = item
             t0 = time.perf_counter()
             try:
-                out = fn(payload)
+                out = fn(item)
             except Exception as e:
                 fail(name, e)
-                failed = True
                 continue
             busy[idx] += time.perf_counter() - t0
             if qout is not None:
-                qout.put((born, out))
+                qout.put(out)
             else:
-                latencies.append(time.perf_counter() - born)
                 done[0] += 1
         if qout is not None:
-            qout.put(None)
+            qout.put(_END)
         elif on_end is not None:
             try:
                 on_end()
@@ -274,15 +273,19 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None) -> Pipeline
     for t in threads:
         t.start()
     try:
-        for payload in source:
+        for item in source:
             if err:
                 break
-            qs[0].put((time.perf_counter(), payload))
+            qs[0].put(item)
     except Exception as e:
         fail("source", e)
-    qs[0].put(None)
-    for t in threads:
-        t.join()
+    except BaseException as e:
+        fail("source", e)
+        raise
+    finally:
+        qs[0].put(_END)
+        for t in threads:
+            t.join()
     wall = time.perf_counter() - t_start
     if err:
         stage, original = err[0]
@@ -292,7 +295,6 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None) -> Pipeline
         wall_seconds=wall,
         fps=done[0] / wall if wall > 0 else 0.0,
         stage_busy=dict(zip(names, busy)),
-        latencies=latencies,
     )
 
 
@@ -320,28 +322,7 @@ def _build_stages(model: Model, run_cfg: RunConfig, sink):
             payload=img.pixels,
         )
 
-    def stream(msg: FrameMessage):
-        sink(msg)
-
-    return list(zip(STAGES, (preprocess, infer, postprocess, stream)))
-
-
-def _run_numbered(pairs, model: Model, sink, cfg, run_cfg) -> PipelineStats:
-    cfg = cfg or PipelineConfig()
-    run_cfg = run_cfg or RunConfig()
-    stages = _build_stages(model, run_cfg, sink)
-    return run_staged(
-        pairs, stages, queue_capacity=cfg.queue_capacity,
-        on_end=lambda: sink(None),
-    )
-
-
-def run_pipeline(source, model: Model, sink, cfg: PipelineConfig | None = None,
-                 run_cfg: RunConfig | None = None) -> PipelineStats:
-    """Push every frame (an imaging.Image iterable) through the four-stage
-    pipeline; sink receives one FrameMessage per frame in order, then None
-    as the end-of-stream marker."""
-    return _run_numbered(enumerate(source), model, sink, cfg, run_cfg)
+    return list(zip(STAGES, (preprocess, infer, postprocess, sink)))
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +339,9 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
     Frame ids number source frames, so they keep counting across a client
     swap. Returns the stats of the run that exhausted the source.
     """
-    frames = enumerate(iter(source))
+    cfg = cfg or PipelineConfig()
+    run_cfg = run_cfg or RunConfig()
+    frames = enumerate(source)
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -372,7 +355,8 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
             log.info("client %s connected", peer)
             try:
                 sink = _socket_sink(conn)
-                stats = _run_numbered(frames, model, sink, cfg, run_cfg)
+                stats = run_staged(frames, _build_stages(model, run_cfg, sink),
+                                   cfg.queue_capacity, on_end=lambda: sink(None))
                 log.info(
                     "stream complete: %d frames in %.2fs", stats.frames,
                     stats.wall_seconds,

@@ -369,6 +369,12 @@ class TestServeCommand:
                          "--listen", f"127.0.0.1:{port}"]) == 2
             assert port in capsys.readouterr().err
 
+    def test_unresolvable_host_exit_2(self, weights, tmp_path, capsys):
+        # the .invalid domain never resolves (RFC 6761)
+        assert main(["serve", "--weights", weights, "--source", str(tmp_path),
+                     "--listen", "nosuch.invalid:5555"]) == 2
+        assert "listen address" in capsys.readouterr().err
+
     def _serve(self, weights, frames):
         """Run `lpyolo serve` on a frame directory in a child process, read
         its stream to the end marker; return (frame ids, exit code, stdout,

@@ -14,8 +14,9 @@ import pytest
 from lpyolo.cli import main
 from lpyolo.imaging import Image, to_input
 from lpyolo.model import ModelConfig, RunConfig, forward, random_init, save_weights
-from lpyolo.pipeline import run_pipeline
 from lpyolo.postprocess import detect
+
+from loopback import serve_one_client
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
                          "perfbench")
@@ -55,9 +56,8 @@ def test_pipeline_messages_match_refs(bench, name):
     model = random_init(ModelConfig(wl.bits, wl.bits), workloads.WEIGHT_SEED)
     frames = [Image(workloads.STREAM_WIDTH, workloads.STREAM_HEIGHT,
                     workloads.stream_frame(check.REF_SEED, i)) for i in range(FRAMES)]
-    msgs = []
-    run_pipeline(frames, model, msgs.append, run_cfg=RunConfig(conf_threshold=wl.conf))
-    assert msgs.pop() is None
+    # the client reads up to the end marker
+    msgs, _stats = serve_one_client(frames, model, run_cfg=RunConfig(conf_threshold=wl.conf))
     assert [m.frame_id for m in msgs] == list(range(FRAMES))
     for i, msg in enumerate(msgs):
         assert check.det_digest(msg.detections) == refs[name]["frames"][i], f"{name} frame {i}"

@@ -1,8 +1,12 @@
 import io
 import itertools
 import math
+import os
 import socket
 import struct
+import subprocess
+import sys
+import textwrap
 import threading
 import time
 
@@ -28,11 +32,12 @@ from lpyolo.pipeline import (
     encode_end,
     encode_frame,
     read_frame,
-    run_pipeline,
     run_staged,
     serve_tcp,
 )
 from lpyolo.postprocess import detect
+
+from loopback import read_stream, serve_one_client
 
 
 @pytest.fixture(scope="module")
@@ -255,7 +260,6 @@ class TestRunStaged:
     def test_empty_source(self):
         stats = run_staged([], [("a", lambda x: x)])
         assert stats.frames == 0
-        assert stats.latencies == []
 
     def test_order_and_conservation(self):
         seen = []
@@ -267,7 +271,6 @@ class TestRunStaged:
         stats = run_staged(range(50), stages, queue_capacity=2)
         assert seen == [x * 2 + 1 for x in range(50)]
         assert stats.frames == 50
-        assert len(stats.latencies) == 50
         assert set(stats.stage_busy) == {"double", "plus", "collect"}
 
     def test_capacity_one(self):
@@ -334,15 +337,57 @@ class TestRunStaged:
         stats = run_staged(range(10), [("a", slow), ("b", lambda x: slow(x))])
         assert stats.wall_seconds < 0.35
 
+    def test_none_payloads_are_items(self):
+        seen = []
+
+        def source():
+            for i in range(6):
+                yield None if i % 2 else i
+
+        stages = [
+            ("tag", lambda x: ("tagged", x)),
+            ("drop", lambda x: None if x[1] is None else x),
+            ("collect", seen.append),
+        ]
+        stats = run_staged(source(), stages, queue_capacity=1)
+        assert seen == [("tagged", 0), None, ("tagged", 2), None, ("tagged", 4), None]
+        assert stats.frames == 6
+
+    def test_interrupt_drains_and_exits(self):
+        # a SIGINT lands mid-stream, most often while the controller blocks
+        # on the full first queue; the stage threads must exit, or the
+        # interpreter hangs at shutdown.
+        # Run in a child so a regression times out instead of hanging here.
+        code = textwrap.dedent("""
+            import itertools, os, signal, threading, time
+            from lpyolo.pipeline import run_staged
+            # a background job may start with SIGINT ignored
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            threading.Timer(0.3, os.kill, (os.getpid(), signal.SIGINT)).start()
+            ends = []
+            try:
+                run_staged(itertools.count(),
+                           [("a", lambda x: x), ("slow", lambda x: time.sleep(0.01))],
+                           queue_capacity=1, on_end=lambda: ends.append(1))
+            except KeyboardInterrupt:
+                live = [t.name for t in threading.enumerate() if t.name.startswith("stage-")]
+                print("interrupted", live, ends)
+        """)
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] == "interrupted [] [1]"
+
 
 class TestRunPipeline:
+    """The four stages, run the one way they run: serve_tcp to a client."""
+
     def test_frames_in_order_with_payload(self, model):
         rng = np.random.default_rng(0)
         imgs = [rand_image(rng) for _ in range(3)]
-        got = []
-        stats = run_pipeline(iter(imgs), model, got.append)
-        assert got[-1] is None
-        msgs = got[:-1]
+        msgs, stats = serve_one_client(iter(imgs), model)  # read up to the end marker
         assert [m.frame_id for m in msgs] == [0, 1, 2]
         assert all(m.width == 64 and m.height == 48 for m in msgs)
         assert [m.payload for m in msgs] == [img.pixels for img in imgs]
@@ -354,8 +399,7 @@ class TestRunPipeline:
         run_cfg = RunConfig(conf_threshold=0.0)
         want = detect(forward(model, to_input(img)), model.config, run_cfg)
         assert want
-        got = []
-        run_pipeline([img], model, got.append, run_cfg=run_cfg)
+        got, _stats = serve_one_client([img], model, run_cfg=run_cfg)
         assert got[0].detections == tuple(
             tuple(float(np.float32(v)) for v in
                   (d.cx, d.cy, d.w, d.h, d.objectness, d.class_score))
@@ -376,16 +420,6 @@ class TestRunPipeline:
 
     def test_stage_names(self):
         assert STAGES == ("preprocess", "infer", "postprocess", "stream")
-
-
-def _read_all(sock):
-    f = sock.makefile("rb")
-    out = []
-    while True:
-        msg = read_frame(f)
-        if msg is None:
-            return out
-        out.append(msg)
 
 
 class TestServeTcp:
@@ -415,28 +449,10 @@ class TestServeTcp:
     def test_single_client_gets_everything(self, model):
         rng = np.random.default_rng(1)
         imgs = [rand_image(rng, 32, 32) for _ in range(3)]
-        bound = {}
-        ready = threading.Event()
-
-        def on_bound(addr):
-            bound["addr"] = addr
-            ready.set()
-
-        result = {}
-
-        def serve():
-            result["stats"] = serve_tcp(("127.0.0.1", 0), imgs, model, on_bound=on_bound)
-
-        t = threading.Thread(target=serve)
-        t.start()
-        assert ready.wait(5)
-        with socket.create_connection(bound["addr"], timeout=10) as cli:
-            msgs = _read_all(cli)
-        t.join(timeout=30)
-        assert not t.is_alive()
+        msgs, stats = serve_one_client(imgs, model)
         assert [m.frame_id for m in msgs] == [0, 1, 2]
         assert [m.payload for m in msgs] == [img.pixels for img in imgs]
-        assert result["stats"].frames == 3
+        assert stats.frames == 3
 
     def test_second_client_resumes_stream(self, model):
         # enough frames that the in-flight window (4 queues + 4 workers)
@@ -479,7 +495,7 @@ class TestServeTcp:
         while time.time() < deadline:
             try:
                 with socket.create_connection(bound["addr"], timeout=10) as cli:
-                    second_msgs = _read_all(cli)
+                    second_msgs = read_stream(cli)
                 break
             except (ConnectionRefusedError, WireError, OSError):
                 time.sleep(0.05)
@@ -523,7 +539,7 @@ class TestServeTcp:
         stalled.connect(bound["addr"])
         try:
             with socket.create_connection(bound["addr"], timeout=20) as cli:
-                msgs = _read_all(cli)
+                msgs = read_stream(cli)
             t.join(timeout=20)
         finally:
             stalled.close()
