@@ -20,11 +20,9 @@ import sys
 import time
 from dataclasses import replace
 
-import numpy as np
-
 from . import folding
 from .imaging import draw_detections, list_frames, read_ppm, to_input, write_ppm
-from .kernels import ACC_LIMIT
+from .kernels import ACC_LIMIT, scratch_bytes
 from .model import (
     DECODE_MODES,
     Model,
@@ -101,7 +99,7 @@ def cmd_infer(args) -> int:
     write_ppm(draw_detections(img, dets), args.out)
     if args.grid_dump:
         with open(args.grid_dump, "wb") as f:
-            f.write(out.data.astype(np.uint8).tobytes())
+            f.write(out.data.tobytes())
     for d in dets:
         print(f"{d.score:.6f} {d.cx:.6f} {d.cy:.6f} {d.w:.6f} {d.h:.6f}")
     return 0
@@ -157,7 +155,8 @@ def cmd_bench(args) -> int:
     # wall time; only where the thread count cannot be set do helpers add to it
     user, system, faults = (v / args.iters for v in cnn_usage)
     print(f"CNN per pass: user_cpu_ms {user * 1e3:.3f} sys_cpu_ms {system * 1e3:.3f} "
-          f"minor_faults {faults:.1f}", file=sys.stderr)
+          f"minor_faults {faults:.1f} scratch_mb {scratch_bytes() / 1e6:.2f}",
+          file=sys.stderr)
     return 0
 
 

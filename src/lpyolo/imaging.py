@@ -128,12 +128,13 @@ def resize_nearest(img: Image, out_w: int = INPUT_SIZE, out_h: int = INPUT_SIZE)
 
 
 def pack_input(img: Image) -> QuantTensor:
-    """416x416 RGB -> the network's 8-bit input lattice (scale 1/255)."""
+    """416x416 RGB -> the network's 8-bit input lattice (scale 1/255), a
+    uint8 copy of the frame bytes."""
     if (img.width, img.height) != (INPUT_SIZE, INPUT_SIZE):
         raise ValueError(
             f"expected {INPUT_SIZE}x{INPUT_SIZE} input, got {img.width}x{img.height}"
         )
-    data = np.frombuffer(img.pixels, dtype=np.uint8).astype(np.int32)
+    data = np.frombuffer(img.pixels, dtype=np.uint8).copy()
     return QuantTensor(
         shape=(INPUT_SIZE, INPUT_SIZE, 3),
         data=data,

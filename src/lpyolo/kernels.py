@@ -4,12 +4,14 @@ pooling, and the sigmoid / rescaled-hardtanh pair.
 The integer path carries integers in float registers: each convolution
 accumulates in float32 or float64, whichever a static bound on the
 accumulator proves exact (see acc_plan), so BLAS does the matmuls and every
-value it produces is an exact integer; a convolution, with its pool, is one
-matmul over an im2col copy of its input (see conv2d_acc). Requantization
-then applies a single float64 multiplier that folds the three scales. The
-float reference path reuses the exact same requantize step, which is what
-makes the two paths provably bit-identical: both hand it the same integer
-accumulator values.
+value it produces is an exact integer; a convolution, with its pool, is a
+matmul over an im2col copy of its input, built and multiplied one band of
+output rows at a time so its scratch stays within a fixed budget (see
+conv2d_acc and BAND_BYTES). Requantization then applies a single float64
+multiplier that folds the three scales, chunk by chunk, and writes one uint8
+per activation. The float reference path reuses the exact same requantize
+step, which is what makes the two paths provably bit-identical: both hand it
+the same integer accumulator values.
 
 Every matmul runs on one BLAS thread: model.build_model calls
 _pin_blas_threads, which sets numpy's bundled OpenBLAS to one thread for
@@ -42,6 +44,7 @@ __all__ = [
     "requantize",
     "maxpool",
     "maxpool_grid",
+    "scratch_bytes",
 ]
 
 log = logging.getLogger("lpyolo.kernels")
@@ -57,6 +60,13 @@ ACTIVATIONS = ("relu", "rescaled_hardtanh")
 # because a Model is shared by pipeline threads and every TCP client gets new
 # stage threads.
 _SCRATCH = threading.local()
+
+# Bytes of im2col patch per band of output rows in conv2d_acc, and of float64
+# product per chunk in requantize. From a sweep of 64 KiB to whole frames
+# (seed-0 4W4A, 2 vCPU): 512 KiB to 1 MiB ran conv1 and conv2 fastest, and
+# 512 KiB keeps a thread's scratch at 3.5 MB, conv1's 2.1 MB padded input
+# being most of it, against 18.7 MB for whole-frame patches.
+BAND_BYTES = 1 << 19
 
 
 def sigmoid(x):
@@ -285,6 +295,11 @@ def _scratch(role: str, shape, dtype) -> np.ndarray:
     return buf[:nbytes].view(dtype).reshape(shape)
 
 
+def scratch_bytes() -> int:
+    """Bytes of this thread's conv2d_acc and requantize scratch."""
+    return sum(buf.nbytes for buf in vars(_SCRATCH).values())
+
+
 def conv2d_acc(
     x: QuantTensor, w: ConvWeights, pool_stride: int | None = None
 ) -> np.ndarray:
@@ -295,17 +310,22 @@ def conv2d_acc(
     The result is a float32 or float64 (h, w, out) array chosen by acc_plan;
     it holds exact integer values, bias (if any) included. Unpooled, each
     output pixel's k x k x in window of the padded input is copied once into
-    a patch row (im2col), and one (pixels, k*k*in) @ (k*k*in, out) matmul
+    a patch row (im2col), and a (pixels, k*k*in) @ (k*k*in, out) matmul
     gives the accumulator.
 
     With a stride-2 pool the patch rows are the (k+1) x (k+1) x in windows at
     every other pixel, one per pooled pixel, covering its 2x2 pool window's
-    four conv windows. One matmul by w.phase_taps writes the four phases
+    four conv windows. A matmul by w.phase_taps writes the four phases
     phase-major, (4*out, pooled pixels), so the pool is two maxima over
     contiguous halves. The bias goes on after the pool, on a quarter of the
     pixels: max(a + b) = max(a) + b. The phase matrix adds only zero taps, so
     every output is the same integer sum in another order and acc_plan's
     bound still covers it. A stride-1 pool runs maxpool_grid on the result.
+
+    The patch, its matmul, the pool and the bias run one band of output rows
+    at a time, as many rows as keep the band's patch within BAND_BYTES (at
+    least one). Output rows are independent, so a band is the same sums as
+    the whole frame, and one band is the unbanded computation.
 
     Pooling the accumulator before requantize equals pooling its requantized
     lattice: requantize is monotone non-decreasing (a positive float64
@@ -338,23 +358,32 @@ def conv2d_acc(
     windows = np.lib.stride_tricks.as_strided(
         xp, (oh, ow, span, span, cin), (step * sy, step * sx, sy, sx, sc), writeable=False
     )
-    patch = _scratch("patch", (oh, ow, span, span, cin), dtype)
-    np.copyto(patch, windows)
-    patch = patch.reshape(oh * ow, span * span * cin)
-    out = np.empty((oh, ow, cout), dtype=dtype)
-    flat = out.reshape(oh * ow, cout)
     if phased:
-        prod = _scratch("phase", (4 * cout, oh * ow), dtype)
-        np.matmul(w.phase_taps.astype(dtype), patch.T, out=prod)
-        half = np.maximum(prod[: 2 * cout], prod[2 * cout :], out=prod[: 2 * cout])
-        np.maximum(half[:cout], half[cout:], out=flat.T)
+        taps = w.phase_taps.astype(dtype)
     else:
         taps = w.phase_taps[:cout].reshape(cout, k + 1, k + 1, cin)[:, :k, :k]
-        np.matmul(patch, taps.astype(dtype).reshape(cout, -1).T, out=flat)
-    if w.bias is not None:
-        # one bias row per output row: cheaper than broadcasting a short vector
-        rows = out.reshape(oh, ow * cout)
-        rows += np.tile(w.bias.astype(dtype), ow)
+        taps = taps.astype(dtype).reshape(cout, -1).T
+    # one bias row per output row: cheaper than broadcasting a short vector
+    bias = None if w.bias is None else np.tile(w.bias.astype(dtype), ow)
+    band = max(1, BAND_BYTES // (ow * span * span * cin * dtype.itemsize))
+    out = np.empty((oh, ow, cout), dtype=dtype)
+    for r0 in range(0, oh, band):
+        rows = min(band, oh - r0)
+        n = rows * ow
+        patch = _scratch("patch", (rows, ow, span, span, cin), dtype)
+        np.copyto(patch, windows[r0 : r0 + rows])
+        patch = patch.reshape(n, span * span * cin)
+        flat = out[r0 : r0 + rows].reshape(n, cout)
+        if phased:
+            prod = _scratch("phase", (4 * cout, n), dtype)
+            np.matmul(taps, patch.T, out=prod)
+            half = np.maximum(prod[: 2 * cout], prod[2 * cout :], out=prod[: 2 * cout])
+            np.maximum(half[:cout], half[cout:], out=flat.T)
+        else:
+            np.matmul(patch, taps, out=flat)
+        if bias is not None:
+            out_rows = flat.reshape(rows, ow * cout)
+            out_rows += bias
     if pool_stride == 1:
         return maxpool_grid(out, 1, pad_value=-np.inf)
     return out
@@ -388,7 +417,8 @@ def conv2d_real(
 
 
 def requantize(acc: np.ndarray, spec: RequantSpec) -> QuantTensor:
-    """Map a raw accumulator onto the unsigned output lattice.
+    """Map a raw accumulator onto the unsigned output lattice, one uint8
+    per activation.
 
     relu: q = clamp(rint(acc * M), 0, qmax), where rint rounds ties to
     even. Clamping at zero after the round is equivalent to applying ReLU
@@ -400,19 +430,25 @@ def requantize(acc: np.ndarray, spec: RequantSpec) -> QuantTensor:
     clamp(real/4 + 1/2, 0, 1) expressed in lattice units.
 
     Accepts integer accumulators or their exact float32/float64 image; all
-    produce identical results because the multiply happens in float64, in
-    this thread's scratch (see _scratch).
+    produce identical results because the multiply happens in float64. It
+    runs elementwise in chunks of BAND_BYTES of float64, in this thread's
+    scratch (see _scratch).
     """
-    r = _scratch("requant", acc.shape, np.float64)
-    np.multiply(acc, spec.multiplier(), out=r, dtype=np.float64)
-    off = spec.offset()
-    if off:
-        r += off
-    p = spec.out_params
-    np.rint(r, out=r)
-    q = np.clip(r, p.qmin, p.qmax, out=r).astype(np.int32)
-    h, wd, c = q.shape
-    return QuantTensor(shape=(h, wd, c), data=q.reshape(-1), params=p)
+    h, wd, c = acc.shape
+    flat = acc.reshape(-1)
+    m, off, p = spec.multiplier(), spec.offset(), spec.out_params
+    q = np.empty(flat.size, dtype=np.uint8)
+    chunk = max(1, BAND_BYTES // 8)
+    for i in range(0, flat.size, chunk):
+        r = _scratch("requant", (min(chunk, flat.size - i),), np.float64)
+        np.multiply(flat[i : i + r.size], m, out=r, dtype=np.float64)
+        if off:
+            r += off
+        np.rint(r, out=r)
+        np.clip(r, p.qmin, p.qmax, out=r)
+        # integers in [0, qmax], qmax <= 255: the cast to uint8 is exact
+        q[i : i + r.size] = r
+    return QuantTensor(shape=(h, wd, c), data=q, params=p)
 
 
 def maxpool_grid(grid: np.ndarray, stride: int, pad_value=0) -> np.ndarray:

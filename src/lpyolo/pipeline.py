@@ -6,7 +6,8 @@ queue, so None is an ordinary item. A failing stage records its error,
 switches to draining its input so upstream never deadlocks, and the
 controller re-raises once all workers have flushed. An interrupt in the
 controller (Ctrl-C) is recorded the same way, so the stages drain and exit
-before it propagates.
+before it propagates; serve_tcp also shuts the client socket down then, so
+a send to a client that stopped reading ends at once.
 
 Also defines the little-endian TCP framing for annotated frames and
 serve_tcp, the one entry point that runs the four stages: a single-client
@@ -212,7 +213,8 @@ def read_frame(f):
 _END = object()  # end-of-stream; every other object, None included, is an item
 
 
-def run_staged(source, stages, queue_capacity: int = 4, on_end=None) -> PipelineStats:
+def run_staged(source, stages, queue_capacity: int = 4, on_end=None,
+               on_interrupt=None) -> PipelineStats:
     """Run items from source through a chain of (name, fn) stages, one
     thread each. The last stage's return value is discarded; give it a
     side-effecting fn to deliver results. on_end (if any) runs in the last
@@ -221,7 +223,9 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None) -> Pipeline
     Raises PipelineError with the originating stage once everything has
     drained. Item order is preserved end to end. An interrupt raised while
     feeding the source (KeyboardInterrupt) makes the stages drain without
-    work; it is re-raised once every stage thread has exited.
+    work; on_interrupt (if any) then runs in the caller's thread, before the
+    stage threads are joined, to unblock a stage waiting on the outside
+    world. The interrupt is re-raised once every stage thread has exited.
     """
     if not stages:
         raise ValueError("need at least one stage")
@@ -281,6 +285,8 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None) -> Pipeline
         fail("source", e)
     except BaseException as e:
         fail("source", e)
+        if on_interrupt is not None:
+            on_interrupt()
         raise
     finally:
         qs[0].put(_END)
@@ -356,7 +362,8 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
             try:
                 sink = _socket_sink(conn)
                 stats = run_staged(frames, _build_stages(model, run_cfg, sink),
-                                   cfg.queue_capacity, on_end=lambda: sink(None))
+                                   cfg.queue_capacity, on_end=lambda: sink(None),
+                                   on_interrupt=lambda: _shutdown(conn))
                 log.info(
                     "stream complete: %d frames in %.2fs", stats.frames,
                     stats.wall_seconds,
@@ -371,6 +378,15 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
                 conn.close()
     finally:
         srv.close()
+
+
+def _shutdown(conn: socket.socket) -> None:
+    """End both directions of conn, so a send blocked on a client that
+    stopped reading fails at once instead of after SEND_TIMEOUT_S."""
+    try:
+        conn.shutdown(socket.SHUT_RDWR)
+    except OSError:  # the client is already gone
+        pass
 
 
 def _socket_sink(conn: socket.socket):

@@ -50,8 +50,10 @@ class QuantParams:
 class QuantTensor:
     """Integer tensor in HWC row-major order with its lattice parameters.
 
-    One int32 slot per element regardless of bit width; sub-byte packing is
-    an on-the-wire concern, not an in-memory one.
+    Activations are one uint8 per element: every activation lattice is
+    unsigned and at most 8 bits, and pack_input and requantize write uint8.
+    Sub-byte packing is an on-the-wire concern, not an in-memory one. Any
+    integer dtype holding the lattice is accepted (from_grid builds int32).
     """
 
     shape: tuple[int, int, int]

@@ -224,9 +224,11 @@ class TestBench:
         assert len(out.out.splitlines()) == 5
         words = out.err.splitlines()[-1].split()
         assert words[:3] == ["CNN", "per", "pass:"]
-        assert words[3::2] == ["user_cpu_ms", "sys_cpu_ms", "minor_faults"]
-        user, system, faults = (float(v) for v in words[4::2])
+        assert words[3::2] == ["user_cpu_ms", "sys_cpu_ms", "minor_faults", "scratch_mb"]
+        user, system, faults, scratch = (float(v) for v in words[4::2])
         assert user > 0.0 and system >= 0.0 and faults >= 0.0
+        # this thread's conv and requantize scratch, within the 8 MB cap
+        assert 0.0 < scratch <= 8.0
 
     def test_single_iter_stats_collapse(self, weights, image, capsys):
         assert main(["bench", "--weights", weights, "--image", image,

@@ -173,6 +173,13 @@ class TestPackInput:
         for y, x, c in [(0, 0, 0), (0, 1, 2), (5, 7, 1), (415, 415, 2)]:
             assert t.data[(y * 416 + x) * 3 + c] == arr[y, x, c]
 
+    def test_one_byte_per_activation(self):
+        img = rand_image(np.random.default_rng(5), 416, 416)
+        t = pack_input(img)
+        assert t.data.dtype == np.uint8
+        assert t.data.flags.owndata
+        assert t.data.tobytes() == img.pixels
+
     def test_requires_network_size(self):
         img = Image(width=10, height=10, pixels=bytes(300))
         with pytest.raises(ValueError, match="416"):

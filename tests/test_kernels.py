@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpyolo import kernels
 from lpyolo.kernels import (
     ACC_LIMIT,
     ConvWeights,
@@ -199,24 +200,7 @@ class TestConv:
          ((1 << 31) - 1, np.float64)],
     )
     def test_dtype_boundary_worst_case(self, k, bound, dtype):
-        # every pixel at qmax and every weight at qmin make the interior
-        # accumulator reach -bound exactly; 2^24 + 1 is the first integer
-        # float32 cannot hold, 2^31 - 1 the largest bound acc_plan accepts.
-        # On 6x6 the pool window at pooled pixel (1, 1) is all interior.
-        ap, wp = _u8(), _wp(bits=8)
-        cin, cout = 4, 2
-        x = QuantTensor.from_grid(np.full((6, 6, cin), ap.qmax, dtype=np.int32), ap)
-        w = np.full((cout, cin, k, k), wp.qmin, dtype=np.int32)
-        reach = ap.qmax * (-wp.qmin) * cin * k * k
-        bias = np.full(cout, -(bound - reach), dtype=np.int32)
-        cw = ConvWeights(weights=w, w_params=wp, bias=bias)
-        assert acc_plan(ap, cw) == (bound, np.dtype(dtype))
-        want = seven_loop_conv(x.grid(), w, bias)
-        for acc, ref in ((conv2d_acc(x, cw), want),
-                         (conv2d_acc(x, cw, pool_stride=2), maxpool_grid(want, 2))):
-            assert acc.dtype == dtype
-            assert acc.min() == -bound
-            assert np.array_equal(acc, ref)
+        _check_worst_case(k, bound, dtype)
 
     @pytest.mark.parametrize("h, wd", [(5, 6), (6, 5), (1, 1)])
     def test_odd_dims_under_stride_2_pool_rejected_first(self, h, wd, monkeypatch):
@@ -443,6 +427,27 @@ class TestPoolBeforeRequantize:
         assert np.array_equal(conv2d_acc(x, cw, pool_stride=stride), want)
 
 
+def _check_worst_case(k, bound, dtype):
+    # every pixel at qmax and every weight at qmin make the interior
+    # accumulator reach -bound exactly; 2^24 + 1 is the first integer
+    # float32 cannot hold, 2^31 - 1 the largest bound acc_plan accepts.
+    # On 6x6 the pool window at pooled pixel (1, 1) is all interior.
+    ap, wp = _u8(), _wp(bits=8)
+    cin, cout = 4, 2
+    x = QuantTensor.from_grid(np.full((6, 6, cin), ap.qmax, dtype=np.int32), ap)
+    w = np.full((cout, cin, k, k), wp.qmin, dtype=np.int32)
+    reach = ap.qmax * (-wp.qmin) * cin * k * k
+    bias = np.full(cout, -(bound - reach), dtype=np.int32)
+    cw = ConvWeights(weights=w, w_params=wp, bias=bias)
+    assert acc_plan(ap, cw) == (bound, np.dtype(dtype))
+    want = seven_loop_conv(x.grid(), w, bias)
+    for acc, ref in ((conv2d_acc(x, cw), want),
+                     (conv2d_acc(x, cw, pool_stride=2), maxpool_grid(want, 2))):
+        assert acc.dtype == dtype
+        assert acc.min() == -bound
+        assert np.array_equal(acc, ref)
+
+
 def _no_matmul(*args, **kwargs):
     raise AssertionError("matmul ran before the arguments were checked")
 
@@ -515,3 +520,74 @@ class TestScratch:
             sys.setswitchinterval(old)
         assert not any(th.is_alive() for th in workers)
         assert errors == []
+
+
+class TestBands:
+    """conv2d_acc runs one band of output rows at a time and requantize one
+    chunk of elements at a time, both sized by kernels.BAND_BYTES."""
+
+    @pytest.fixture
+    def one_row_bands(self, monkeypatch):
+        # a budget smaller than any patch row gives bands of one row
+        monkeypatch.setattr(kernels, "BAND_BYTES", 1)
+
+    @pytest.mark.parametrize("pool_stride", [None, 1, 2])
+    def test_one_row_bands_match_seven_loop(self, one_row_bands, monkeypatch, pool_stride):
+        rng = np.random.default_rng(30)
+        calls = []
+
+        def counting_matmul(*args, **kwargs):
+            calls.append(1)
+            return matmul(*args, **kwargs)
+
+        matmul = np.matmul
+        monkeypatch.setattr(np, "matmul", counting_matmul)
+        for h, wd, k in ((6, 8, 3), (4, 2, 1), (8, 6, 3), (2, 2, 3)):
+            x, cw = _conv_case(rng, h, wd, k=k)
+            want = seven_loop_conv(x.grid(), cw.weights, cw.bias)
+            if pool_stride is not None:
+                want = maxpool_grid(want, pool_stride, pad_value=-(1 << 40))
+            calls.clear()
+            assert np.array_equal(conv2d_acc(x, cw, pool_stride=pool_stride), want)
+            assert len(calls) == (h // 2 if pool_stride == 2 else h)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    @pytest.mark.parametrize("bound", [1 << 24, (1 << 24) + 1, (1 << 31) - 1])
+    def test_one_row_bands_float64_worst_case(self, one_row_bands, k, bound):
+        _check_worst_case(k, bound, np.float64)
+
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_chunked_requantize_equals_the_formula(self, data):
+        activation = data.draw(st.sampled_from(["relu", "rescaled_hardtanh"]))
+        bits = data.draw(st.integers(1, 8))
+        dtype = data.draw(st.sampled_from([np.float32, np.float64, np.int64]))
+        in_scale = 2.0 ** data.draw(st.integers(-8, 0))
+        w_scale = data.draw(st.floats(1e-3, 1.0))
+        out_scale = (2.0 ** data.draw(st.integers(-6, 0)) if activation == "relu"
+                     else 1.0 / ((1 << bits) - 1))
+        spec = RequantSpec(in_scale, w_scale, out_scale, bits, activation)
+        h, w, c = (data.draw(st.integers(1, 5)) for _ in range(3))
+        n = h * w * c
+        acc = np.array(
+            data.draw(st.lists(st.integers(-(1 << 20), 1 << 20), min_size=n, max_size=n)),
+            dtype=dtype,
+        ).reshape(h, w, c)
+        # a chunk of 1..n elements: below n every chunk edge falls mid-array
+        chunk = data.draw(st.integers(1, n))
+        p = spec.out_params
+        want = np.clip(np.rint(acc.astype(np.float64) * spec.multiplier() + spec.offset()),
+                       p.qmin, p.qmax)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "BAND_BYTES", 8 * chunk)
+            got = requantize(acc, spec)
+        assert got.shape == (h, w, c)
+        assert got.data.dtype == np.uint8
+        assert np.array_equal(got.data, want.reshape(-1))
+
+    def test_requantize_writes_one_byte_per_activation(self):
+        spec = RequantSpec(1.0, 1.0, 1.0, 8, "relu")
+        acc = np.arange(-5, 300, dtype=np.float32).reshape(305, 1, 1)
+        q = requantize(acc, spec)
+        assert q.data.dtype == np.uint8
+        assert np.array_equal(q.data, np.clip(np.arange(-5, 300), 0, 255))

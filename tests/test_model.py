@@ -2,7 +2,11 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import resource
+import subprocess
+import sys
+import textwrap
 import threading
 
 import numpy as np
@@ -313,6 +317,65 @@ class TestForward:
         worker.join(timeout=60)
         assert not worker.is_alive()
         assert faults and faults[0] / 5 <= 10
+
+    def test_warm_main_thread_forward_maps_few_fresh_pages(self):
+        # lpyolo bench runs forward in the main thread between to_input and
+        # detect, every array of a pass freed before the next, as here; with
+        # whole-frame temporaries a warm pass faulted in ~676 fresh pages,
+        # with row bands and uint8 activations 0-8. A child interpreter
+        # starts from a fresh heap, as bench does; the faults depend on it.
+        code = textwrap.dedent("""
+            import resource
+            import numpy as np
+            from lpyolo.imaging import Image, to_input
+            from lpyolo.model import ModelConfig, RunConfig, forward, random_init
+            from lpyolo.postprocess import detect
+            m = random_init(ModelConfig(4, 4), seed=0)
+            rng = np.random.default_rng(3)
+            img = Image(640, 480, rng.integers(0, 256, 640 * 480 * 3, dtype=np.uint8).tobytes())
+            run = RunConfig()
+
+            def one_pass():
+                x = to_input(img)
+                before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+                out = forward(m, x)
+                faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+                detect(out, m.config, run)
+                return faults
+
+            print(*(one_pass() for _ in range(8)))
+        """)
+        src = os.path.dirname(os.path.dirname(kernels.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        faults = [int(v) for v in proc.stdout.split()]
+        assert len(faults) == 8
+        assert sum(faults[3:]) / 5 <= 32, faults
+
+    def test_per_thread_scratch_is_capped(self):
+        # a fresh thread's scratch after a 4W4A and an 8W8A forward holds
+        # conv1's padded input and one band of patch, phase product and
+        # requantize chunk, not whole-frame temporaries (~18 MB)
+        models = [random_init(ModelConfig(b, b), seed=0) for b in (4, 8)]
+        x = u8_input(np.random.default_rng(4))
+        sizes = []
+
+        def work():
+            for m in models:
+                forward(m, x)
+            sizes.append(kernels.scratch_bytes())
+
+        worker = threading.Thread(target=work)
+        worker.start()
+        worker.join(timeout=60)
+        assert not worker.is_alive()
+        assert sizes and 0 < sizes[0] <= 8 * 10**6
+
+    def test_activations_are_one_byte(self):
+        m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        assert forward(m, u8_input(np.random.default_rng(5))).data.dtype == np.uint8
 
     def test_float_input_range_checked(self):
         m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)

@@ -509,6 +509,50 @@ class TestServeTcp:
         assert ids[0] > 0  # strictly after what client one consumed
         assert result["stats"].frames == len(second_msgs)
 
+    def test_interrupt_with_a_stalled_client_exits_at_once(self):
+        # a client connects and never reads, so the stream thread blocks in
+        # a send; Ctrl-C must end that send rather than wait out the send
+        # timeout (patched to 60 s). Run in a child so a regression times
+        # out instead of hanging here.
+        code = textwrap.dedent("""
+            import itertools, os, signal, socket, threading, time
+            import numpy as np
+            from lpyolo import pipeline
+            from lpyolo.imaging import Image
+            from lpyolo.model import ModelConfig, random_init
+            pipeline.SEND_TIMEOUT_S = 60.0
+            signal.signal(signal.SIGINT, signal.default_int_handler)
+            rng = np.random.default_rng(0)
+            img = Image(640, 480, rng.integers(0, 256, 640 * 480 * 3, dtype=np.uint8).tobytes())
+            model = random_init(ModelConfig(4, 4), seed=0)
+            stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
+            stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            sent = []
+
+            def interrupt():
+                sent.append(time.monotonic())
+                os.kill(os.getpid(), signal.SIGINT)
+
+            def on_bound(addr):
+                stalled.connect(addr)
+                threading.Timer(2.0, interrupt).start()
+
+            try:
+                pipeline.serve_tcp(("127.0.0.1", 0), itertools.repeat(img), model,
+                                   on_bound=on_bound)
+            except KeyboardInterrupt:
+                live = [t.name for t in threading.enumerate() if t.name.startswith("stage-")]
+                print("interrupted", live, round(time.monotonic() - sent[0], 1))
+        """)
+        src = os.path.dirname(os.path.dirname(pipeline.__file__))
+        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=path), timeout=30)
+        assert proc.returncode == 0, proc.stderr
+        word, live, seconds = proc.stdout.split("\n")[0].split(" ", 2)
+        assert (word, live) == ("interrupted", "[]")
+        assert float(seconds) < 10.0
+
     def test_stalled_client_is_dropped(self, model, monkeypatch):
         # the first client connects and never reads; once the socket buffers
         # fill, its send times out and the next client gets the stream tail
