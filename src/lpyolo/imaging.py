@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .model import INPUT_SIZE, PIXEL_SCALE
-from .qcore import QuantParams, QuantTensor
+from .qcore import ACT_DTYPE, QuantParams, QuantTensor
 
 __all__ = [
     "Image",
@@ -129,12 +129,12 @@ def resize_nearest(img: Image, out_w: int = INPUT_SIZE, out_h: int = INPUT_SIZE)
 
 def pack_input(img: Image) -> QuantTensor:
     """416x416 RGB -> the network's 8-bit input lattice (scale 1/255), a
-    uint8 copy of the frame bytes."""
+    copy of the frame bytes, which are already ACT_DTYPE values."""
     if (img.width, img.height) != (INPUT_SIZE, INPUT_SIZE):
         raise ValueError(
             f"expected {INPUT_SIZE}x{INPUT_SIZE} input, got {img.width}x{img.height}"
         )
-    data = np.frombuffer(img.pixels, dtype=np.uint8).copy()
+    data = np.frombuffer(img.pixels, dtype=ACT_DTYPE).copy()
     return QuantTensor(
         shape=(INPUT_SIZE, INPUT_SIZE, 3),
         data=data,

@@ -8,8 +8,8 @@ value it produces is an exact integer; a convolution, with its pool, is a
 matmul over an im2col copy of its input, built and multiplied one band of
 output rows at a time so its scratch stays within a fixed budget (see
 conv2d_acc and BAND_BYTES). Requantization then applies a single float64
-multiplier that folds the three scales, chunk by chunk, and writes one uint8
-per activation. The float reference path reuses the exact same requantize
+multiplier that folds the three scales, chunk by chunk, and writes one byte
+(qcore.ACT_DTYPE) per activation. The float reference path reuses the exact same requantize
 step, which is what makes the two paths provably bit-identical: both hand it
 the same integer accumulator values.
 
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .qcore import QuantParams, QuantTensor
+from .qcore import ACT_DTYPE, QuantParams, QuantTensor
 
 __all__ = [
     "ConvWeights",
@@ -417,8 +417,8 @@ def conv2d_real(
 
 
 def requantize(acc: np.ndarray, spec: RequantSpec) -> QuantTensor:
-    """Map a raw accumulator onto the unsigned output lattice, one uint8
-    per activation.
+    """Map a raw accumulator onto the unsigned output lattice, one
+    ACT_DTYPE byte per activation.
 
     relu: q = clamp(rint(acc * M), 0, qmax), where rint rounds ties to
     even. Clamping at zero after the round is equivalent to applying ReLU
@@ -437,7 +437,7 @@ def requantize(acc: np.ndarray, spec: RequantSpec) -> QuantTensor:
     h, wd, c = acc.shape
     flat = acc.reshape(-1)
     m, off, p = spec.multiplier(), spec.offset(), spec.out_params
-    q = np.empty(flat.size, dtype=np.uint8)
+    q = np.empty(flat.size, dtype=ACT_DTYPE)
     chunk = max(1, BAND_BYTES // 8)
     for i in range(0, flat.size, chunk):
         r = _scratch("requant", (min(chunk, flat.size - i),), np.float64)
@@ -446,7 +446,7 @@ def requantize(acc: np.ndarray, spec: RequantSpec) -> QuantTensor:
             r += off
         np.rint(r, out=r)
         np.clip(r, p.qmin, p.qmax, out=r)
-        # integers in [0, qmax], qmax <= 255: the cast to uint8 is exact
+        # integers in [0, qmax], qmax <= 255: the cast to ACT_DTYPE is exact
         q[i : i + r.size] = r
     return QuantTensor(shape=(h, wd, c), data=q, params=p)
 

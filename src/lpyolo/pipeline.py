@@ -6,8 +6,8 @@ queue, so None is an ordinary item. A failing stage records its error,
 switches to draining its input so upstream never deadlocks, and the
 controller re-raises once all workers have flushed. An interrupt in the
 controller (Ctrl-C) is recorded the same way, so the stages drain and exit
-before it propagates; serve_tcp also shuts the client socket down then, so
-a send to a client that stopped reading ends at once.
+before it propagates; if a send to a client that stopped reading still
+blocks the stream after a short grace, serve_tcp shuts the socket down.
 
 Also defines the little-endian TCP framing for annotated frames and
 serve_tcp, the one entry point that runs the four stages: a single-client
@@ -72,6 +72,12 @@ MAX_READ = 1 << 20
 # closing would otherwise stall the whole pipeline; past this it is dropped
 # like a client that disconnected.
 SEND_TIMEOUT_S = 30.0
+
+# Seconds an interrupted run waits for its stages to drain before it shuts
+# the client socket down. A reading client gets the message in flight and
+# the end marker well within it; a send blocked on a client that stopped
+# reading is cut off once it passes, not after SEND_TIMEOUT_S.
+INTERRUPT_GRACE_S = 2.0
 
 
 class WireError(ValueError):
@@ -221,11 +227,12 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None,
     stage's thread after the final item, error or not.
 
     Raises PipelineError with the originating stage once everything has
-    drained. Item order is preserved end to end. An interrupt raised while
-    feeding the source (KeyboardInterrupt) makes the stages drain without
-    work; on_interrupt (if any) then runs in the caller's thread, before the
-    stage threads are joined, to unblock a stage waiting on the outside
-    world. The interrupt is re-raised once every stage thread has exited.
+    drained. Item order is preserved end to end. An interrupt
+    (KeyboardInterrupt) raised while feeding the source, or while waiting
+    for the stages after it, makes the stages drain without work. If they
+    have not all exited after INTERRUPT_GRACE_S, on_interrupt (if any) runs
+    in the caller's thread to unblock a stage waiting on the outside world.
+    The interrupt is re-raised once every stage thread has exited.
     """
     if not stages:
         raise ValueError("need at least one stage")
@@ -273,9 +280,31 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None,
         threading.Thread(target=worker, args=(i,), name=f"stage-{names[i]}")
         for i in range(len(stages))
     ]
+    ended = False
+
+    def settle(timeout: float | None) -> bool:
+        """Queue _END (once) and wait for the stage threads, at most timeout
+        seconds in all (None: for good). True once every thread has exited."""
+        nonlocal ended
+        deadline = None if timeout is None else time.monotonic() + timeout
+
+        def left():
+            return None if deadline is None else max(0.0, deadline - time.monotonic())
+
+        if not ended:
+            try:
+                qs[0].put(_END, timeout=left())
+            except queue.Full:
+                return False
+            ended = True
+        for t in threads:
+            t.join(left())
+        return not any(t.is_alive() for t in threads)
+
     t_start = time.perf_counter()
     for t in threads:
         t.start()
+    interrupt = None
     try:
         for item in source:
             if err:
@@ -285,13 +314,18 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None,
         fail("source", e)
     except BaseException as e:
         fail("source", e)
-        if on_interrupt is not None:
+        interrupt = e
+    if interrupt is None:
+        try:
+            settle(None)
+        except BaseException as e:  # Ctrl-C after the source ran out
+            fail("source", e)
+            interrupt = e
+    if interrupt is not None:
+        if not settle(INTERRUPT_GRACE_S) and on_interrupt is not None:
             on_interrupt()
-        raise
-    finally:
-        qs[0].put(_END)
-        for t in threads:
-            t.join()
+        settle(None)
+        raise interrupt
     wall = time.perf_counter() - t_start
     if err:
         stage, original = err[0]
@@ -382,7 +416,7 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
 
 def _shutdown(conn: socket.socket) -> None:
     """End both directions of conn, so a send blocked on a client that
-    stopped reading fails at once instead of after SEND_TIMEOUT_S."""
+    stopped reading fails now instead of after SEND_TIMEOUT_S."""
     try:
         conn.shutdown(socket.SHUT_RDWR)
     except OSError:  # the client is already gone

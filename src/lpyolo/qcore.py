@@ -16,7 +16,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+# In-memory type of every activation: each activation lattice is unsigned
+# and at most 8 bits, so one byte holds any value.
+ACT_DTYPE = np.uint8
+
 __all__ = [
+    "ACT_DTYPE",
     "QuantParams",
     "QuantTensor",
     "FloatTensor",
@@ -48,13 +53,9 @@ class QuantParams:
 
 @dataclass(frozen=True)
 class QuantTensor:
-    """Integer tensor in HWC row-major order with its lattice parameters.
-
-    Activations are one uint8 per element: every activation lattice is
-    unsigned and at most 8 bits, and pack_input and requantize write uint8.
-    Sub-byte packing is an on-the-wire concern, not an in-memory one. Any
-    integer dtype holding the lattice is accepted (from_grid builds int32).
-    """
+    """Activation tensor in HWC row-major order with its lattice
+    parameters, one ACT_DTYPE per element. Sub-byte packing is an
+    on-the-wire concern, not an in-memory one."""
 
     shape: tuple[int, int, int]
     data: np.ndarray = field(repr=False)
@@ -65,23 +66,30 @@ class QuantTensor:
         n = h * w * c
         if self.data.ndim != 1 or self.data.size != n:
             raise ValueError(f"data length {self.data.size} != {h}*{w}*{c}")
-        if not np.issubdtype(self.data.dtype, np.integer):
-            raise ValueError(f"expected integer data, got {self.data.dtype}")
-        lo, hi = int(self.data.min(initial=0)), int(self.data.max(initial=0))
-        if lo < self.params.qmin or hi > self.params.qmax:
-            raise ValueError(
-                f"values [{lo}, {hi}] exceed lattice range "
-                f"[{self.params.qmin}, {self.params.qmax}]"
-            )
+        if self.data.dtype != ACT_DTYPE:
+            raise ValueError(f"expected {np.dtype(ACT_DTYPE)} data, got {self.data.dtype}")
+        _check_range(self.data, self.params)
 
     @classmethod
     def from_grid(cls, grid: np.ndarray, params: QuantParams) -> "QuantTensor":
-        arr = np.ascontiguousarray(grid, dtype=np.int32)
+        """Tensor from an (h, w, c) grid of lattice values of any numeric
+        dtype, range-checked before it is narrowed to ACT_DTYPE."""
+        grid = np.asarray(grid)
+        _check_range(grid, params)
+        arr = np.ascontiguousarray(grid, dtype=ACT_DTYPE)
         return cls(shape=tuple(arr.shape), data=arr.reshape(-1), params=params)
 
     def grid(self) -> np.ndarray:
         """(h, w, c) view of the flat data."""
         return self.data.reshape(self.shape)
+
+
+def _check_range(values: np.ndarray, params: QuantParams) -> None:
+    lo, hi = values.min(initial=0), values.max(initial=0)
+    if lo < params.qmin or hi > params.qmax:
+        raise ValueError(
+            f"values [{lo}, {hi}] exceed lattice range [{params.qmin}, {params.qmax}]"
+        )
 
 
 @dataclass(frozen=True)

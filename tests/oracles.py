@@ -11,7 +11,7 @@ import numpy as np
 from lpyolo.kernels import ConvWeights, RequantSpec, conv2d_real, requantize
 from lpyolo.model import INPUT_SIZE, OUTPUT_GRID
 from lpyolo.postprocess import Detection
-from lpyolo.qcore import QuantParams, QuantTensor
+from lpyolo.qcore import ACT_DTYPE, QuantParams, QuantTensor
 
 
 def seven_loop_conv(x, w, bias=None):
@@ -192,7 +192,7 @@ def random_layer(rng, wbits, abits):
     )
 
     in_params = QuantParams(bits=in_bits, signed=False, scale=in_scale)
-    data = rng.integers(0, in_params.qmax + 1, size=h * w * cin).astype(np.int32)
+    data = rng.integers(0, in_params.qmax + 1, size=h * w * cin).astype(ACT_DTYPE)
     x = QuantTensor(shape=(h, w, cin), data=data, params=in_params)
     return x, cw, rs
 

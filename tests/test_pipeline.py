@@ -69,6 +69,33 @@ def read_one(blob):
     return msg
 
 
+def run_child(code):
+    """Run code in a fresh interpreter that imports this checkout's lpyolo,
+    so a test that signals its own process, or hangs, cannot take pytest
+    down with it."""
+    src = os.path.dirname(os.path.dirname(pipeline.__file__))
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=path), timeout=30)
+
+
+# A child serving 640x480 frames from a 4W4A model, with Ctrl-C raising
+# KeyboardInterrupt (a background job may start with SIGINT ignored) and a
+# 60 s send timeout, so an exit that waits it out fails the test.
+SERVE_CHILD_SETUP = textwrap.dedent("""
+    import itertools, os, signal, socket, threading, time
+    import numpy as np
+    from lpyolo import pipeline
+    from lpyolo.imaging import Image
+    from lpyolo.model import ModelConfig, random_init
+    pipeline.SEND_TIMEOUT_S = 60.0
+    signal.signal(signal.SIGINT, signal.default_int_handler)
+    rng = np.random.default_rng(0)
+    img = Image(640, 480, rng.integers(0, 256, 640 * 480 * 3, dtype=np.uint8).tobytes())
+    model = random_init(ModelConfig(4, 4), seed=0)
+""")
+
+
 # Finite doubles round to float32 inf from max + half an ulp up; half the
 # smallest float32 subnormal rounds to 0.
 F32_MAX = float(np.finfo(np.float32).max)
@@ -373,10 +400,7 @@ class TestRunStaged:
                 live = [t.name for t in threading.enumerate() if t.name.startswith("stage-")]
                 print("interrupted", live, ends)
         """)
-        src = os.path.dirname(os.path.dirname(pipeline.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path), timeout=30)
+        proc = run_child(code)
         assert proc.returncode == 0, proc.stderr
         assert proc.stdout.split("\n")[0] == "interrupted [] [1]"
 
@@ -509,49 +533,76 @@ class TestServeTcp:
         assert ids[0] > 0  # strictly after what client one consumed
         assert result["stats"].frames == len(second_msgs)
 
-    def test_interrupt_with_a_stalled_client_exits_at_once(self):
+    @pytest.mark.parametrize("source", ["itertools.repeat(img)", "[img] * 8"])
+    def test_interrupt_with_a_stalled_client_exits_soon(self, source):
         # a client connects and never reads, so the stream thread blocks in
-        # a send; Ctrl-C must end that send rather than wait out the send
-        # timeout (patched to 60 s). Run in a child so a regression times
-        # out instead of hanging here.
-        code = textwrap.dedent("""
-            import itertools, os, signal, socket, threading, time
-            import numpy as np
-            from lpyolo import pipeline
-            from lpyolo.imaging import Image
-            from lpyolo.model import ModelConfig, random_init
-            pipeline.SEND_TIMEOUT_S = 60.0
-            signal.signal(signal.SIGINT, signal.default_int_handler)
-            rng = np.random.default_rng(0)
-            img = Image(640, 480, rng.integers(0, 256, 640 * 480 * 3, dtype=np.uint8).tobytes())
-            model = random_init(ModelConfig(4, 4), seed=0)
+        # a send; Ctrl-C must end that send after the drain grace rather than
+        # wait out the send timeout (patched to 60 s). With the endless
+        # source the interrupt lands while the controller feeds the stages;
+        # with the finite one, while it waits for them after the source ran
+        # out. Run in a child so a regression times out instead of hanging.
+        proc = run_child(SERVE_CHILD_SETUP + textwrap.dedent(f"""
             stalled = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
             stalled.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+            exhausted = threading.Event()
             sent = []
 
+            def frames():
+                yield from {source}
+                exhausted.set()
+
             def interrupt():
+                exhausted.wait(2.0)
+                time.sleep(0.2)
                 sent.append(time.monotonic())
                 os.kill(os.getpid(), signal.SIGINT)
 
             def on_bound(addr):
                 stalled.connect(addr)
-                threading.Timer(2.0, interrupt).start()
+                threading.Thread(target=interrupt).start()
+
+            try:
+                pipeline.serve_tcp(("127.0.0.1", 0), frames(), model, on_bound=on_bound)
+            except KeyboardInterrupt:
+                live = [t.name for t in threading.enumerate() if t.name.startswith("stage-")]
+                print(exhausted.is_set(), live, round(time.monotonic() - sent[0], 1))
+        """))
+        assert proc.returncode == 0, proc.stderr
+        exhausted, live, seconds = proc.stdout.split("\n")[0].split(" ", 2)
+        assert (exhausted, live) == (str(source.startswith("[")), "[]")
+        assert float(seconds) < 10.0
+
+    def test_interrupt_with_a_reading_client_ends_the_stream_cleanly(self):
+        # the client keeps reading through Ctrl-C: it must get whole frames
+        # in order and then the end marker, not a stream cut mid-message
+        proc = run_child(SERVE_CHILD_SETUP + textwrap.dedent("""
+            got, readers = [], []
+
+            def client(addr):
+                with socket.create_connection(addr) as cli, cli.makefile("rb") as f:
+                    try:
+                        while (msg := pipeline.read_frame(f)) is not None:
+                            got.append(msg.frame_id)
+                            if len(got) == 3:
+                                os.kill(os.getpid(), signal.SIGINT)
+                        got.append("end")
+                    except (pipeline.WireError, OSError) as e:
+                        got.append(type(e).__name__)
+
+            def on_bound(addr):
+                readers.append(threading.Thread(target=client, args=(addr,)))
+                readers[0].start()
 
             try:
                 pipeline.serve_tcp(("127.0.0.1", 0), itertools.repeat(img), model,
                                    on_bound=on_bound)
             except KeyboardInterrupt:
+                readers[0].join(10)
                 live = [t.name for t in threading.enumerate() if t.name.startswith("stage-")]
-                print("interrupted", live, round(time.monotonic() - sent[0], 1))
-        """)
-        src = os.path.dirname(os.path.dirname(pipeline.__file__))
-        path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                              env=dict(os.environ, PYTHONPATH=path), timeout=30)
+                print(live, got[-1], got[:-1] == list(range(len(got) - 1)))
+        """))
         assert proc.returncode == 0, proc.stderr
-        word, live, seconds = proc.stdout.split("\n")[0].split(" ", 2)
-        assert (word, live) == ("interrupted", "[]")
-        assert float(seconds) < 10.0
+        assert proc.stdout.split("\n")[0] == "[] end True"
 
     def test_stalled_client_is_dropped(self, model, monkeypatch):
         # the first client connects and never reads; once the socket buffers

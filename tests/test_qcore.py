@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lpyolo.qcore import FloatTensor, QuantParams, QuantTensor
+from lpyolo.qcore import ACT_DTYPE, FloatTensor, QuantParams, QuantTensor
 
 
 class TestQuantParams:
@@ -38,21 +38,30 @@ class TestTensors:
 
     def test_range_enforced(self):
         p = QuantParams(bits=2, signed=False, scale=1.0)
-        with pytest.raises(ValueError):
-            QuantTensor(shape=(1, 1, 1), data=np.array([4]), params=p)
-        with pytest.raises(ValueError):
-            QuantTensor(shape=(1, 1, 1), data=np.array([-1]), params=p)
+        with pytest.raises(ValueError, match="lattice range"):
+            QuantTensor(shape=(1, 1, 1), data=np.array([4], dtype=ACT_DTYPE), params=p)
+        # from_grid checks before narrowing, so neither value can wrap into range
+        for v in (4, -1, 256 + 3, -256 + 2):
+            with pytest.raises(ValueError, match="lattice range"):
+                QuantTensor.from_grid(np.array([[[v]]]), p)
 
     def test_rejects_float_data(self):
         p = QuantParams(bits=8, signed=False, scale=1.0)
         with pytest.raises(ValueError):
             QuantTensor(shape=(1, 1, 1), data=np.array([1.0]), params=p)
 
+    def test_rejects_wider_integer_data(self):
+        # one in-memory format: activations are ACT_DTYPE, never int32
+        p = QuantParams(bits=8, signed=False, scale=1.0)
+        with pytest.raises(ValueError, match="expected uint8"):
+            QuantTensor(shape=(1, 1, 1), data=np.array([1], dtype=np.int32), params=p)
+
     def test_grid_round_trip(self):
         p = QuantParams(bits=8, signed=False, scale=1.0)
         g = np.arange(24, dtype=np.int32).reshape(2, 3, 4)
         t = QuantTensor.from_grid(g, p)
         assert t.shape == (2, 3, 4)
+        assert t.data.dtype == ACT_DTYPE
         assert np.array_equal(t.grid(), g)
 
     def test_float_tensor_rejects_non_finite(self):
