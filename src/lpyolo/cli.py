@@ -290,7 +290,7 @@ def build_parser() -> argparse.ArgumentParser:
     with_model(sp)
     sp.add_argument("--source", required=True, help="directory of PPM frames")
     sp.add_argument("--listen", default="127.0.0.1:5555", help="HOST:PORT")
-    sp.add_argument("--queue-capacity", type=int, default=4)
+    sp.add_argument("--queue-capacity", type=int, default=PipelineConfig.queue_capacity)
     sp.set_defaults(func=cmd_serve)
 
     sp = sub.add_parser("eval", help="average precision against annotation file")

@@ -229,10 +229,11 @@ def _openblas():
     return None
 
 
-def _pin_blas_threads() -> None:
+def _pin_blas_threads() -> bool:
     """Set numpy's bundled OpenBLAS to one thread for the whole process and
     log the thread counts found and set; change nothing, silently, when the
-    library or its thread-count symbols are missing.
+    library or its thread-count symbols are missing. True when BLAS now
+    runs on one thread.
 
     With OpenBLAS's default threads, each conv matmul in the infer stage of
     a paced stream took at least ~7.5 ms, waiting on OpenBLAS's helper
@@ -244,12 +245,14 @@ def _pin_blas_threads() -> None:
         get = lib.scipy_openblas_get_num_threads64_
         put = lib.scipy_openblas_set_num_threads64_
     except AttributeError:  # no library (None) or not this build's symbols
-        return
+        return False
     get.argtypes, get.restype = [], ctypes.c_int
     put.argtypes, put.restype = [ctypes.c_int], None
     found = get()
     put(1)
-    log.info("BLAS threads: found %s, set %s", found, get())
+    now = get()
+    log.info("BLAS threads: found %s, set %s", found, now)
+    return now == 1
 
 
 def _check_conv_input(x_shape, w: ConvWeights):

@@ -1,24 +1,30 @@
-"""Streaming inference: preprocess -> infer -> postprocess -> stream, one
-worker thread per stage, bounded blocking queues in between (a full queue
-stalls the producer; nothing is ever dropped). Queue items are the bare
-payloads; end-of-stream is a private sentinel object pushed through every
-queue, so None is an ordinary item. A failing stage records its error,
-switches to draining its input so upstream never deadlocks, and the
-controller re-raises once all workers have flushed. An interrupt in the
-controller (Ctrl-C) is recorded the same way, so the stages drain and exit
-before it propagates; if a send to a client that stopped reading still
-blocks the stream after a short grace, serve_tcp shuts the socket down.
+"""Streaming inference: preprocess -> infer -> postprocess -> stream,
+bounded blocking queues in between (a full queue stalls the producer;
+nothing is ever dropped). A stage runs on one or more worker threads; each
+item goes to the lowest-numbered idle worker, and a stage passes results on
+in the order their items arrived. Infer gets two workers when the process
+may run on two CPUs and BLAS runs on one thread, the other stages one each
+(see _infer_workers). Queue items are the bare payloads; end-of-stream is
+a private sentinel object pushed through every queue, so None is an
+ordinary item. A failing stage records its error, switches to draining its
+input so upstream never deadlocks, and the controller re-raises once all
+workers have flushed. An interrupt in the controller (Ctrl-C) is recorded
+the same way, so the stages drain and exit before it propagates; if a send
+to a client that stopped reading still blocks the stream after a short
+grace, serve_tcp shuts the socket down.
 
 Also defines the little-endian TCP framing for annotated frames and
 serve_tcp, the one entry point that runs the four stages: a single-client
 server with backpressure all the way down to the socket. The infer stage's
 matmuls run on one BLAS thread, set when the model was built
-(model.build_model).
+(model.build_model) and checked again by serve_tcp.
 """
 
 from __future__ import annotations
 
+import collections
 import logging
+import os
 import queue
 import socket
 import struct
@@ -29,6 +35,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .imaging import to_input
+from .kernels import _pin_blas_threads
 from .model import Model, RunConfig, forward
 from .postprocess import detect
 
@@ -137,7 +144,7 @@ class FrameMessage:
 
 @dataclass(frozen=True)
 class PipelineConfig:
-    queue_capacity: int = 4
+    queue_capacity: int = 2
 
     def __post_init__(self) -> None:
         if self.queue_capacity < 1:
@@ -219,27 +226,113 @@ def read_frame(f):
 _END = object()  # end-of-stream; every other object, None included, is an item
 
 
-def run_staged(source, stages, queue_capacity: int = 4, on_end=None,
+class _Feed:
+    """The bounded queue into one stage, shared by that stage's workers.
+
+    take hands the oldest item to the lowest-numbered idle worker, so with
+    one item in flight at a time only worker 0 ever runs (and grows scratch
+    and malloc arenas), and numbers items in the order they leave. A worker
+    that has run item n waits in turn() until items 0..n-1 have been passed
+    on, so the stage's output keeps its input's order. _END stays at the
+    head once it arrives, so every worker takes it in turn. Each worker
+    waits on its own condition and is woken only when the move may be its
+    own, so an idle spare worker is not woken for every item."""
+
+    def __init__(self, capacity: int, workers: int):
+        self._lock = threading.Lock()
+        self._room = threading.Condition(self._lock)  # the producer waits here
+        self._wake = [threading.Condition(self._lock) for _ in range(workers)]
+        self._items = collections.deque()
+        self._capacity = capacity
+        self._idle = set(range(workers))  # workers not running an item
+        self._live = workers  # workers that have not taken _END
+        self._taken = 0  # the number of the next item to leave
+        self._passed = 0  # items passed on (or dropped) so far
+
+    def _nudge(self) -> None:
+        """Wake the lowest-numbered idle worker if an item waits for it."""
+        if self._items and self._idle:
+            self._wake[min(self._idle)].notify()
+
+    def put(self, item, timeout: float | None = None) -> None:
+        """Append item once there is room; queue.Full after timeout seconds."""
+        with self._lock:
+            if not self._room.wait_for(lambda: len(self._items) < self._capacity, timeout):
+                raise queue.Full
+            self._items.append(item)
+            self._nudge()
+
+    def take(self, worker: int):
+        """Wait until an item is queued and worker is the lowest-numbered
+        idle one; return (number, item), or (None, _END)."""
+        with self._lock:
+            self._wake[worker].wait_for(lambda: self._items and min(self._idle) == worker)
+            self._idle.discard(worker)
+            item = self._items[0]
+            if item is not _END:
+                self._items.popleft()
+                self._room.notify()
+            self._nudge()
+            if item is _END:
+                return None, item
+            self._taken += 1
+            return self._taken - 1, item
+
+    def retire(self) -> bool:
+        """Count out a worker that took _END; True for the stage's last."""
+        with self._lock:
+            self._live -= 1
+            return self._live == 0
+
+    def turn(self, worker: int, number: int) -> None:
+        """Wait until item number is next to pass on, then count worker as
+        idle: all it has left is to pass the item on and call passed()."""
+        with self._lock:
+            self._wake[worker].wait_for(lambda: self._passed == number)
+            self._idle.add(worker)
+
+    def passed(self) -> None:
+        """Let the next item pass; only a busy worker can be waiting for it."""
+        with self._lock:
+            self._passed += 1
+            for k, wake in enumerate(self._wake):
+                if k not in self._idle:
+                    wake.notify()
+
+
+def run_staged(source, stages, queue_capacity: int = PipelineConfig.queue_capacity, on_end=None,
                on_interrupt=None) -> PipelineStats:
-    """Run items from source through a chain of (name, fn) stages, one
-    thread each. The last stage's return value is discarded; give it a
-    side-effecting fn to deliver results. on_end (if any) runs in the last
-    stage's thread after the final item, error or not.
+    """Run items from source through a chain of (name, fn) or (name, fn,
+    workers) stages. A stage runs on `workers` threads (default 1), all
+    named stage-<name>; each item goes to the lowest-numbered idle one, and
+    results leave the stage in the order items entered it, so item order
+    is preserved end to end. stage_busy sums a stage's fn time over its
+    workers, so with several it can exceed the wall time. The last stage's
+    return value is discarded; give it a side-effecting fn to deliver
+    results (it runs on one worker, so delivery is in order). on_end (if
+    any) runs in the last stage's thread after the final item, error or
+    not.
 
     Raises PipelineError with the originating stage once everything has
-    drained. Item order is preserved end to end. An interrupt
-    (KeyboardInterrupt) raised while feeding the source, or while waiting
-    for the stages after it, makes the stages drain without work. If they
-    have not all exited after INTERRUPT_GRACE_S, on_interrupt (if any) runs
-    in the caller's thread to unblock a stage waiting on the outside world.
-    The interrupt is re-raised once every stage thread has exited.
+    drained. An interrupt (KeyboardInterrupt) raised while feeding the
+    source, or while waiting for the stages after it, makes the stages
+    drain without work. If they have not all exited after
+    INTERRUPT_GRACE_S, on_interrupt (if any) runs in the caller's thread to
+    unblock a stage waiting on the outside world. The interrupt is
+    re-raised once every stage thread has exited.
     """
     if not stages:
         raise ValueError("need at least one stage")
     if queue_capacity < 1:
         raise ValueError("queue capacity must be >= 1")
-    qs = [queue.Queue(maxsize=queue_capacity) for _ in stages]
-    names = [name for name, _fn in stages]
+    names = [stage[0] for stage in stages]
+    fns = [stage[1] for stage in stages]
+    counts = [stage[2] if len(stage) > 2 else 1 for stage in stages]
+    if min(counts) < 1:
+        raise ValueError("a stage needs at least one worker")
+    if counts[-1] != 1:
+        raise ValueError("the last stage delivers as it runs, so it has one worker")
+    feeds = [_Feed(queue_capacity, n) for n in counts]
     busy = [0.0] * len(stages)
     done = [0]
     err: list = []
@@ -250,26 +343,34 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None,
             if not err:
                 err.append((name, exc))
 
-    def worker(idx: int) -> None:
-        name, fn = stages[idx]
-        qin = qs[idx]
-        qout = qs[idx + 1] if idx + 1 < len(qs) else None
-        while (item := qin.get()) is not _END:
-            if err:
-                continue  # drain without work so upstream never blocks
+    def worker(idx: int, k: int) -> None:
+        name, fn, feed = names[idx], fns[idx], feeds[idx]
+        nxt = feeds[idx + 1] if idx + 1 < len(feeds) else None
+        while True:
+            number, item = feed.take(k)
+            if item is _END:
+                break
+            ok = not err  # after a failure, drain without work so upstream never blocks
             t0 = time.perf_counter()
-            try:
-                out = fn(item)
-            except Exception as e:
-                fail(name, e)
-                continue
-            busy[idx] += time.perf_counter() - t0
-            if qout is not None:
-                qout.put(out)
-            else:
-                done[0] += 1
-        if qout is not None:
-            qout.put(_END)
+            if ok:
+                try:
+                    out = fn(item)
+                except Exception as e:
+                    fail(name, e)
+                    ok = False
+            spent = time.perf_counter() - t0
+            feed.turn(k, number)
+            busy[idx] += spent
+            if ok:
+                if nxt is not None:
+                    nxt.put(out)
+                else:
+                    done[0] += 1
+            feed.passed()
+        if not feed.retire():
+            return
+        if nxt is not None:
+            nxt.put(_END)
         elif on_end is not None:
             try:
                 on_end()
@@ -277,8 +378,8 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None,
                 fail(name, e)
 
     threads = [
-        threading.Thread(target=worker, args=(i,), name=f"stage-{names[i]}")
-        for i in range(len(stages))
+        threading.Thread(target=worker, args=(i, k), name=f"stage-{names[i]}")
+        for i, n in enumerate(counts) for k in range(n)
     ]
     ended = False
 
@@ -293,7 +394,7 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None,
 
         if not ended:
             try:
-                qs[0].put(_END, timeout=left())
+                feeds[0].put(_END, timeout=left())
             except queue.Full:
                 return False
             ended = True
@@ -309,7 +410,7 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None,
         for item in source:
             if err:
                 break
-            qs[0].put(item)
+            feeds[0].put(item)
     except Exception as e:
         fail("source", e)
     except BaseException as e:
@@ -342,7 +443,20 @@ def run_staged(source, stages, queue_capacity: int = 4, on_end=None,
 # The real four stages
 
 
-def _build_stages(model: Model, run_cfg: RunConfig, sink):
+def _infer_workers() -> int:
+    """Two infer workers when the process may run on at least two CPUs and
+    BLAS is set to one thread, so each worker's matmuls keep to one core;
+    otherwise one. With BLAS's default threads, OpenBLAS's helper thread
+    fights a second worker: two workers ran 27-28 forwards/s against one
+    worker's 35-37."""
+    if hasattr(os, "sched_getaffinity"):
+        cpus = len(os.sched_getaffinity(0))
+    else:
+        cpus = os.cpu_count() or 1
+    return 2 if cpus >= 2 and _pin_blas_threads() else 1
+
+
+def _build_stages(model: Model, run_cfg: RunConfig, sink, infer_workers: int):
     def preprocess(item):
         frame_id, img = item
         return frame_id, img, to_input(img)
@@ -362,7 +476,8 @@ def _build_stages(model: Model, run_cfg: RunConfig, sink):
             payload=img.pixels,
         )
 
-    return list(zip(STAGES, (preprocess, infer, postprocess, sink)))
+    fns = (preprocess, infer, postprocess, sink)
+    return [(name, fn, infer_workers if fn is infer else 1) for name, fn in zip(STAGES, fns)]
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +497,7 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
     cfg = cfg or PipelineConfig()
     run_cfg = run_cfg or RunConfig()
     frames = enumerate(source)
+    infer_workers = _infer_workers()
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -395,8 +511,8 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
             log.info("client %s connected", peer)
             try:
                 sink = _socket_sink(conn)
-                stats = run_staged(frames, _build_stages(model, run_cfg, sink),
-                                   cfg.queue_capacity, on_end=lambda: sink(None),
+                stages = _build_stages(model, run_cfg, sink, infer_workers)
+                stats = run_staged(frames, stages, cfg.queue_capacity, on_end=lambda: sink(None),
                                    on_interrupt=lambda: _shutdown(conn))
                 log.info(
                     "stream complete: %d frames in %.2fs", stats.frames,

@@ -537,6 +537,7 @@ class TestBlasThreads:
             random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
         assert lib.scipy_openblas_get_num_threads64_() == 1
         assert "BLAS threads: found 2, set 1" in caplog.messages
+        assert kernels._pin_blas_threads() is True
 
     def test_build_model_pins(self, tmp_path):
         lib = _openblas_with_symbols()
@@ -565,4 +566,5 @@ class TestBlasThreads:
         with caplog.at_level(logging.INFO, logger="lpyolo.kernels"):
             m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
         assert forward(m, u8_input(fill=7)).shape == (13, 13, 18)
+        assert kernels._pin_blas_threads() is False
         assert caplog.messages == []

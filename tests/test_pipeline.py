@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lpyolo import pipeline
+from lpyolo import kernels, pipeline
 from lpyolo.cli import main
 from lpyolo.imaging import Image, to_input, write_ppm
 from lpyolo.model import ModelConfig, RunConfig, forward, random_init, save_weights
@@ -85,7 +85,7 @@ def run_child(code):
 SERVE_CHILD_SETUP = textwrap.dedent("""
     import itertools, os, signal, socket, threading, time
     import numpy as np
-    from lpyolo import pipeline
+    from lpyolo import kernels, pipeline
     from lpyolo.imaging import Image
     from lpyolo.model import ModelConfig, random_init
     pipeline.SEND_TIMEOUT_S = 60.0
@@ -405,6 +405,109 @@ class TestRunStaged:
         assert proc.stdout.split("\n")[0] == "interrupted [] [1]"
 
 
+    @settings(max_examples=30, deadline=None)
+    @given(st.lists(st.integers(0, 5), max_size=24), st.integers(1, 3))
+    def test_two_worker_stage_keeps_order(self, sleeps_ms, capacity):
+        seen, ends = [], []
+
+        def nap(item):
+            i, ms = item
+            time.sleep(ms / 1e3)
+            return i
+
+        stages = [("tag", lambda x: x), ("nap", nap, 2), ("collect", seen.append)]
+        stats = run_staged(enumerate(sleeps_ms), stages, queue_capacity=capacity,
+                           on_end=lambda: ends.append(1))
+        assert seen == list(range(len(sleeps_ms)))
+        assert stats.frames == len(sleeps_ms)
+        assert ends == [1]
+        assert not [t for t in threading.enumerate() if t.name.startswith("stage-")]
+
+    def test_many_workers_under_fast_switching(self):
+        # more workers than cores, each thread switch forced early: a lost
+        # update of the hand-off counters would reorder, drop or hang items
+        seen = []
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            stages = [("a", lambda x: x, 3), ("b", lambda x: x + 1, 4), ("c", seen.append)]
+            done = {}
+            t = threading.Thread(target=lambda: done.setdefault(
+                "stats", run_staged(range(2000), stages, queue_capacity=2)))
+            t.start()
+            t.join(60)
+        finally:
+            sys.setswitchinterval(old)
+        assert not t.is_alive()
+        assert seen == list(range(1, 2001))
+        assert done["stats"].frames == 2000
+
+    def test_worker_error_while_sibling_runs_surfaces(self):
+        # item 3 fails on one worker while the other still runs item 4; the
+        # sibling must not wait forever for item 3's turn. Run in a child so
+        # a deadlock times out instead of hanging here.
+        proc = run_child(textwrap.dedent("""
+            import threading, time
+            from lpyolo.pipeline import PipelineError, run_staged
+            sibling = threading.Event()
+
+            def work(x):
+                if x == 3:
+                    sibling.wait(5)
+                    raise RuntimeError("kaput")
+                if x == 4:
+                    sibling.set()
+                    time.sleep(0.05)
+                return x
+
+            try:
+                run_staged(range(100), [("work", work, 2), ("c", lambda x: None)])
+            except PipelineError as e:
+                print(sibling.is_set(), e.stage, type(e.original).__name__)
+        """))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] == "True work RuntimeError"
+
+    def test_one_item_at_a_time_runs_on_one_worker(self):
+        # each item is fed only after the sink has the one before: the idle
+        # worker 0 takes every item, so a second worker never grows scratch
+        consumed = threading.Semaphore(0)
+        ran_on = []
+
+        def source():
+            for i in range(20):
+                yield i
+                assert consumed.acquire(timeout=5)
+
+        def work(x):
+            ran_on.append(threading.get_ident())
+            return x
+
+        run_staged(source(), [("work", work, 2), ("sink", lambda x: consumed.release())])
+        assert len(ran_on) == 20
+        assert len(set(ran_on)) == 1
+
+    def test_two_workers_overlap(self):
+        delay = 0.05
+
+        def slow(x):
+            time.sleep(delay)
+            return x
+
+        t0 = time.monotonic()
+        stats = run_staged(range(2), [("slow", slow, 2), ("c", lambda x: None)])
+        assert time.monotonic() - t0 < 1.5 * delay
+        assert stats.stage_busy["slow"] >= 2 * delay > stats.wall_seconds
+
+    @pytest.mark.parametrize("stages", [
+        [("a", lambda x: x, 0), ("c", lambda x: None)],
+        [("a", lambda x: x), ("c", lambda x: None, 2)],
+    ], ids=["no-worker", "two-sink-workers"])
+    def test_worker_counts_validated(self, stages):
+        with pytest.raises(ValueError, match="worker"):
+            run_staged(range(3), stages)
+
+
 class TestRunPipeline:
     """The four stages, run the one way they run: serve_tcp to a client."""
 
@@ -446,6 +549,40 @@ class TestRunPipeline:
         assert STAGES == ("preprocess", "infer", "postprocess", "stream")
 
 
+class TestInferWorkers:
+    """serve_tcp runs two infer workers only where they help: two CPUs to
+    run on and BLAS on one thread."""
+
+    def infer_threads(self, model, monkeypatch):
+        counts = set()
+
+        def counting_forward(m, x):
+            counts.add(sum(t.name == "stage-infer" for t in threading.enumerate()))
+            return forward(m, x)
+
+        monkeypatch.setattr(pipeline, "forward", counting_forward)
+        rng = np.random.default_rng(5)
+        msgs, _stats = serve_one_client([rand_image(rng, 16, 16) for _ in range(3)], model)
+        assert [m.frame_id for m in msgs] == [0, 1, 2]
+        return counts
+
+    def test_two_on_two_cpus_with_blas_pinned(self, model, monkeypatch):
+        lib = kernels._openblas()
+        if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads64_"):
+            pytest.skip("numpy without its bundled scipy-openblas")
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert self.infer_threads(model, monkeypatch) == {2}
+
+    def test_one_without_blas_pin(self, model, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        monkeypatch.setattr(kernels, "_openblas", lambda: None)
+        assert self.infer_threads(model, monkeypatch) == {1}
+
+    def test_one_on_one_cpu(self, model, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert self.infer_threads(model, monkeypatch) == {1}
+
+
 class TestServeTcp:
     def test_no_end_marker_after_failed_send(self):
         class Conn:
@@ -479,8 +616,8 @@ class TestServeTcp:
         assert stats.frames == 3
 
     def test_second_client_resumes_stream(self, model):
-        # enough frames that the in-flight window (4 queues + 4 workers)
-        # cannot swallow the whole source when the first client dies
+        # enough frames that the in-flight window (4 queues + up to 5
+        # workers) cannot swallow the whole source when the first client dies
         rng = np.random.default_rng(2)
         imgs = [rand_image(rng, 16, 16) for _ in range(32)]
         bound = {}
