@@ -34,6 +34,11 @@ __all__ = [
 ]
 
 FIELDS_PER_ANCHOR = 6
+# Ranked boxes per `_iou_row` call in `nms`. From a sweep of 8 to 64 on the
+# 507 candidates of seed-0 4W4A stream frames (2 vCPU, one worker thread):
+# 24 to 32 ran fastest; 16 took 6% longer, 64 8% longer and grew peak RSS
+# by 0.8 MB, against 0.2-0.3 MB at 32.
+NMS_BLOCK = 32
 
 
 class Detection(NamedTuple):
@@ -132,9 +137,11 @@ def decode_grid(
 
 
 def _iou_row(a, bx, by, bw, bh):
-    """Intersection over union of one (x, y, w, h) corner-origin rectangle a
-    against arrays of rectangles b; a pair whose union is not positive reads
-    as 0. NMS and AP matching both decide on these values."""
+    """Intersection over union of (x, y, w, h) corner-origin rectangles a
+    against arrays of rectangles b, broadcast elementwise: one rectangle a
+    gives a row, a block of them as (B, 1) columns gives B rows. A pair
+    whose union is not positive reads as 0. NMS and AP matching both decide
+    on these values."""
     ax, ay, aw, ah = a
     ix = np.maximum(0.0, np.minimum(ax + aw, bx + bw) - np.maximum(ax, bx))
     iy = np.maximum(0.0, np.minimum(ay + ah, by + bh) - np.maximum(ay, by))
@@ -147,32 +154,40 @@ def _iou_row(a, bx, by, bw, bh):
     return np.minimum(1.0, out, out=out)
 
 
-def _nms_key(d: Detection):
-    # score descending, then a total order so output never depends on
-    # input order
-    return (-d.score, d.cx, d.cy, d.w, d.h, d.objectness)
-
-
 def nms(dets: list, iou_threshold: float) -> list:
     """Greedy suppression: keep the best, drop overlaps above the threshold
-    (strict >), repeat. Output stays sorted best-first.
+    (strict >), repeat. Output stays sorted best-first: score descending,
+    then cx, cy, w, h and objectness ascending, so it never depends on input
+    order. Raises ValueError if any field of any detection is NaN or
+    infinite, where that order is not defined.
 
-    One sweep in sorted order: each box still alive when reached is the best
-    of what remains, so it is kept and suppresses the alive boxes after it.
+    One sweep in ranked order, NMS_BLOCK ranks at a time: each box still
+    alive when reached is the best of what remains, so it is kept and
+    suppresses the alive boxes after it. A block takes one `_iou_row` call,
+    its rows against every live box; rows are then settled in order, and
+    only the boxes a block leaves alive reach the next.
     """
-    ranked = sorted(dets, key=_nms_key)
-    cx, cy, w, h = np.array(ranked, dtype=np.float64).reshape(-1, 6)[:, :4].T
+    boxes = np.array(dets, dtype=np.float64).reshape(-1, 6)
+    if not np.isfinite(boxes).all():
+        raise ValueError("non-finite detection field")
+    cx, cy, w, h, obj, cls = boxes.T
     x, y = cx - w / 2.0, cy - h / 2.0
-    alive = np.ones(len(ranked), dtype=bool)
+    # indices of the boxes still alive, best first; lexsort is stable, so
+    # fully equal keys keep their input order
+    live = np.lexsort((obj, h, w, cy, cx, -(obj * cls)))
     kept = []
-    for i, d in enumerate(ranked):
-        if not alive[i]:
-            continue
-        kept.append(d)
-        rest = slice(i + 1, None)
-        row = _iou_row((x[i], y[i], w[i], h[i]), x[rest], y[rest], w[rest], h[rest])
-        alive[rest] &= row <= iou_threshold
-    return kept
+    while live.size:
+        head = live[:NMS_BLOCK, None]
+        n = len(head)
+        ok = _iou_row((x[head], y[head], w[head], h[head]),
+                      x[live], y[live], w[live], h[live]) <= iou_threshold
+        alive = np.ones(live.size, dtype=bool)
+        for r in range(n):
+            if alive[r]:
+                alive[r + 1:] &= ok[r, r + 1:]
+        kept += live[:n][alive[:n]].tolist()
+        live = live[n:][alive[n:]]
+    return [dets[i] for i in kept]
 
 
 def detect(out: QuantTensor, cfg: ModelConfig, run: RunConfig) -> list:

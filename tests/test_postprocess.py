@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lpyolo import postprocess
 from lpyolo.model import PIXEL_SCALE, ModelConfig
 from lpyolo.postprocess import (
     Detection,
@@ -239,17 +240,26 @@ class TestIou:
 # they agree to the bit and ties, touching edges and exact-threshold IoUs
 # actually occur.
 _dyadic = st.integers(0, 64).map(lambda k: k / 64)
-_dyadic_det = st.builds(
-    Detection,
-    cx=_dyadic, cy=_dyadic, w=_dyadic, h=_dyadic,
-    objectness=st.integers(0, 4).map(lambda k: k / 4),
-    class_score=st.integers(1, 4).map(lambda k: k / 4),
-)
+
+
+def _lattice_det(size):
+    return st.builds(
+        Detection,
+        cx=_dyadic, cy=_dyadic, w=size, h=size,
+        objectness=st.integers(0, 4).map(lambda k: k / 4),
+        class_score=st.integers(1, 4).map(lambda k: k / 4),
+    )
+
+
+_dyadic_det = _lattice_det(_dyadic)
+# sizes of at most a quarter frame as often as any size, so that long lists
+# keep many boxes
+_mixed_size_det = _lattice_det(st.one_of(st.integers(0, 16), st.integers(0, 64)).map(lambda k: k / 64))
 
 
 @st.composite
-def _dets_with_duplicates(draw):
-    dets = draw(st.lists(_dyadic_det, max_size=16))
+def _dets_with_duplicates(draw, boxes=st.lists(_dyadic_det, max_size=16)):
+    dets = draw(boxes)
     # equal copies, not the same object: ref_nms drops every reference to
     # the box it keeps, which would drop a re-listed object even at thr 1.0
     copies = draw(st.lists(st.sampled_from(dets), max_size=4)) if dets else []
@@ -264,6 +274,62 @@ class TestNms:
     )
     def test_matches_reference_on_lattice_boxes(self, dets, thr):
         assert nms(dets, thr) == ref_nms(dets, thr)
+
+    @pytest.mark.parametrize("block", [1, 2, 3, postprocess.NMS_BLOCK])
+    @settings(max_examples=60, deadline=None)
+    @given(
+        # a length drawn first, so long lists are as common as short ones
+        st.integers(0, 100).flatmap(lambda n: _dets_with_duplicates(
+            st.lists(_mixed_size_det, min_size=n, max_size=n))),
+        st.one_of(st.sampled_from([0.0, 1.0]), st.integers(0, 16).map(lambda k: k / 16)),
+    )
+    def test_blocks_match_reference_on_long_lattice_lists(self, block, dets, thr):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(postprocess, "NMS_BLOCK", block)
+            assert nms(dets, thr) == ref_nms(dets, thr)
+
+    @staticmethod
+    def _count_iou_rows(monkeypatch):
+        """Set blocks of 32 and patch nms's `_iou_row` to record, per call,
+        its number of rows and of live boxes."""
+        monkeypatch.setattr(postprocess, "NMS_BLOCK", 32)
+        calls = []
+        iou_row = postprocess._iou_row
+
+        def counting(a, *b):
+            calls.append((len(a[0]), len(b[0])))
+            return iou_row(a, *b)
+
+        monkeypatch.setattr(postprocess, "_iou_row", counting)
+        return calls
+
+    def test_one_iou_row_call_per_block(self, monkeypatch):
+        # 100 disjoint boxes, all kept: blocks of 32, 32, 32 and 4 ranks,
+        # each against the boxes not yet reached
+        calls = self._count_iou_rows(monkeypatch)
+        dets = [det(cx=0.05 + 0.1 * (k % 10), cy=0.05 + 0.1 * (k // 10), w=0.05, h=0.05,
+                    obj=1.0 - k / 128) for k in range(100)]
+        assert nms(dets, 0.45) == dets
+        assert calls == [(32, 100), (32, 68), (32, 36), (4, 4)]
+
+    def test_suppressed_boxes_reach_no_later_block(self, monkeypatch):
+        # 32 disjoint boxes, then a weaker duplicate of each: the first
+        # block keeps the 32 and suppresses every duplicate, so it is the
+        # only block
+        calls = self._count_iou_rows(monkeypatch)
+        best = [det(cx=0.1 + 0.1 * (k % 8), cy=0.1 + 0.2 * (k // 8), w=0.05, h=0.05,
+                    obj=1.0 - k / 64) for k in range(32)]
+        weaker = [d._replace(objectness=0.25) for d in best]
+        assert nms(weaker + best, 0.45) == best
+        assert calls == [(32, 64)]
+
+    @pytest.mark.parametrize("field", range(6))
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_field_is_refused(self, field, bad):
+        fields = list(det())
+        fields[field] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            nms([det(cx=0.2), Detection(*fields)], 0.45)
 
     def test_zero_area_boxes_never_suppress(self):
         # union 0 between two degenerate boxes reads as IoU 0
