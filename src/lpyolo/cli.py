@@ -18,6 +18,7 @@ import resource
 import socket
 import sys
 import time
+from contextlib import contextmanager
 from dataclasses import replace
 
 from . import folding
@@ -47,17 +48,21 @@ class CliInputError(Exception):
     """Bad input or arguments; maps to exit code 2."""
 
 
-def _fail_input(stage: str, e: Exception):
-    raise CliInputError(f"{stage}: {e}") from e
+@contextmanager
+def _fail_input(stage: str, errors=(OSError, ValueError)):
+    """Raise CliInputError (exit 2) naming `stage` for `errors` raised in the
+    block."""
+    try:
+        yield
+    except errors as e:
+        raise CliInputError(f"{stage}: {e}") from e
 
 
 def _load_run_config(args) -> RunConfig:
     run = RunConfig()
     if args.config:
-        try:
+        with _fail_input("config"):
             run = load_run_config(args.config)
-        except (OSError, ValueError) as e:
-            _fail_input("config", e)
     overrides = {}
     for flag, field in (
         ("conf", "conf_threshold"),
@@ -68,26 +73,20 @@ def _load_run_config(args) -> RunConfig:
         if v is not None:
             overrides[field] = v
     if overrides:
-        try:
+        with _fail_input("config", ValueError):
             run = replace(run, **overrides)
-        except ValueError as e:
-            _fail_input("config", e)
     return run
 
 
 def _load_model(args, run: RunConfig) -> Model:
-    try:
+    with _fail_input("weights"):
         wf = load_weights(args.weights)
         return build_model(run.model_config(wf.weight_bits, wf.act_bits), wf)
-    except (OSError, ValueError) as e:
-        _fail_input("weights", e)
 
 
 def _read_image(path):
-    try:
+    with _fail_input("image"):
         return read_ppm(path)
-    except (OSError, ValueError) as e:
-        _fail_input("image", e)
 
 
 def cmd_infer(args) -> int:
@@ -96,10 +95,11 @@ def cmd_infer(args) -> int:
     img = _read_image(args.image)
     out = forward(model, to_input(img))
     dets = detect(out, model.config, run)
-    write_ppm(draw_detections(img, dets), args.out)
-    if args.grid_dump:
-        with open(args.grid_dump, "wb") as f:
-            f.write(out.data.tobytes())
+    with _fail_input("output", OSError):
+        write_ppm(draw_detections(img, dets), args.out)
+        if args.grid_dump:
+            with open(args.grid_dump, "wb") as f:
+                f.write(out.data.tobytes())
     for d in dets:
         print(f"{d.score:.6f} {d.cx:.6f} {d.cy:.6f} {d.w:.6f} {d.h:.6f}")
     return 0
@@ -176,10 +176,8 @@ def cmd_serve(args) -> int:
     if not os.path.isdir(args.source):
         raise CliInputError(f"source: {args.source!r} is not a directory")
     paths = list_frames(args.source)
-    try:
+    with _fail_input("pipeline", ValueError):
         cfg = PipelineConfig(queue_capacity=args.queue_capacity)
-    except ValueError as e:
-        _fail_input("pipeline", e)
     try:
         stats = serve_tcp(
             (host, int(port)),
@@ -190,11 +188,11 @@ def cmd_serve(args) -> int:
             on_bound=lambda addr: print(f"listening on {addr[0]}:{addr[1]}", flush=True),
         )
     except socket.gaierror as e:  # only the bind resolves a name
-        _fail_input("listen address", e)
+        raise CliInputError(f"listen address: {e}") from e
     except PipelineError as e:
         # a frame that cannot be read is bad input, like any other image
         if e.stage == "source" and isinstance(e.original, (OSError, ValueError)):
-            _fail_input("image", e.original)
+            raise CliInputError(f"image: {e.original}") from e.original
         raise
     print(f"served {stats.frames} frames in {stats.wall_seconds:.2f}s "
           f"({stats.fps:.2f} fps)")
@@ -204,10 +202,8 @@ def cmd_serve(args) -> int:
 def cmd_eval(args) -> int:
     run = _load_run_config(args)
     model = _load_model(args, run)
-    try:
+    with _fail_input("ground truth"):
         gt = parse_widerface_gt(args.gt)
-    except (OSError, ValueError) as e:
-        _fail_input("ground truth", e)
     preds = []
     lines = []
     for image_id in gt.boxes:
@@ -224,7 +220,7 @@ def cmd_eval(args) -> int:
             preds.append((image_id, d.score, x, y, w, h))
             lines.append(format_detection_line(image_id, d, img.width, img.height))
     if args.detections:
-        with open(args.detections, "w", encoding="utf-8") as f:
+        with _fail_input("output", OSError), open(args.detections, "w", encoding="utf-8") as f:
             f.write("\n".join(lines) + ("\n" if lines else ""))
     if gt.total() == 0:
         print("AP@0.5: 0.000000 (no ground truth)")
@@ -237,25 +233,22 @@ def cmd_eval(args) -> int:
 def cmd_init_weights(args) -> int:
     if args.seed < 0:
         raise CliInputError(f"seed must be >= 0, got {args.seed}")
-    try:
+    with _fail_input("config", ValueError):
         cfg = ModelConfig(weight_bits=args.weight_bits, act_bits=args.act_bits)
-    except ValueError as e:
-        _fail_input("config", e)
     model = random_init(cfg, seed=args.seed, with_bias=not args.no_bias)
-    save_weights(model, args.out)
+    with _fail_input("output", OSError):
+        save_weights(model, args.out)
     print(f"wrote {cfg.weight_bits}W{cfg.act_bits}A weights to {args.out}")
     return 0
 
 
 def cmd_fold(args) -> int:
-    try:
+    with _fail_input("folding"):
         if args.balance is not None:
             spec = folding.balance_folding(args.balance)
         else:
             spec = folding.parse_folding_spec(args.spec)
         report = folding.format_report(spec, clock_hz=args.clock_mhz * 1e6)
-    except (OSError, ValueError) as e:
-        _fail_input("folding", e)
     print(report)
     return 0
 

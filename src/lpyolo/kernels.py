@@ -102,11 +102,9 @@ class ConvWeights:
     |bias|, 0 without bias) are derived at construction; they bound every
     accumulator this filter bank can produce (see acc_plan).
 
-    phase_taps, also derived at construction, is the int8 (4*out,
-    (k+1)*(k+1)*in) matrix conv2d_acc multiplies a (k+1)x(k+1) input patch
-    by to get the four outputs of a 2x2 pool window: block p = 2*dy + dx
-    holds the taps shifted by (dy, dx) in the patch, and zeros elsewhere.
-    Block 0's top-left k x k corner is the plain im2col matrix.
+    The taps are held once, as an int8 copy in patch order (out, kh, kw, in)
+    (bits <= 8, so int8 holds every tap); weights is its [out][in][kh][kw]
+    view, whatever integer array was passed in.
     """
 
     weights: np.ndarray
@@ -114,7 +112,6 @@ class ConvWeights:
     bias: np.ndarray | None = None
     l1_max: int = field(init=False, repr=False, compare=False)
     bias_max: int = field(init=False, repr=False, compare=False)
-    phase_taps: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         w = self.weights
@@ -133,9 +130,10 @@ class ConvWeights:
                 f"weights [{lo}, {hi}] exceed "
                 f"[{self.w_params.qmin}, {self.w_params.qmax}]"
             )
-        # in range, so abs() cannot wrap once int8 is widened to int32
-        taps = w.reshape(out_ch, in_ch * kh * kw).astype(np.int32, copy=False)
-        l1 = np.abs(taps).sum(axis=1, dtype=np.int64)
+        # in range: the int8 copy is exact, and its abs() in int32 cannot wrap
+        hwc = w.transpose(0, 2, 3, 1).astype(np.int8, order="C")
+        object.__setattr__(self, "weights", hwc.transpose(0, 3, 1, 2))
+        l1 = np.abs(hwc.reshape(out_ch, -1).astype(np.int32)).sum(axis=1, dtype=np.int64)
         object.__setattr__(self, "l1_max", int(l1.max(initial=0)))
         bias_max = 0
         if self.bias is not None:
@@ -149,12 +147,6 @@ class ConvWeights:
             if bias_max >= ACC_LIMIT:
                 raise ValueError("bias exceeds 32-bit accumulator range")
         object.__setattr__(self, "bias_max", bias_max)
-        # columns in patch order (row, column, channel); bits <= 8, so int8 holds
-        # every tap
-        phase = np.zeros((4, out_ch, kh + 1, kw + 1, in_ch), dtype=np.int8)
-        for p, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
-            phase[p, :, dy : dy + kh, dx : dx + kw] = w.transpose(0, 2, 3, 1)
-        object.__setattr__(self, "phase_taps", phase.reshape(4 * out_ch, -1))
 
     @property
     def out_channels(self) -> int:
@@ -318,12 +310,14 @@ def conv2d_acc(
 
     With a stride-2 pool the patch rows are the (k+1) x (k+1) x in windows at
     every other pixel, one per pooled pixel, covering its 2x2 pool window's
-    four conv windows. A matmul by w.phase_taps writes the four phases
-    phase-major, (4*out, pooled pixels), so the pool is two maxima over
-    contiguous halves. The bias goes on after the pool, on a quarter of the
-    pixels: max(a + b) = max(a) + b. The phase matrix adds only zero taps, so
-    every output is the same integer sum in another order and acc_plan's
-    bound still covers it. A stride-1 pool runs maxpool_grid on the result.
+    four conv windows. The phase matrix, built per call from the held taps,
+    has block p = 2*dy + dx hold them shifted by (dy, dx), zeros elsewhere;
+    a matmul by it writes the four phases phase-major, (4*out, pooled
+    pixels), so the pool is two maxima over contiguous halves. The bias goes
+    on after the pool, on a quarter of the pixels: max(a + b) = max(a) + b.
+    The zero taps add nothing, so every output is the same integer sum in
+    another order and acc_plan's bound still covers it. A stride-1 pool runs
+    maxpool_grid on the result.
 
     The patch, its matmul, the pool and the bias run one band of output rows
     at a time, as many rows as keep the band's patch within BAND_BYTES (at
@@ -361,11 +355,15 @@ def conv2d_acc(
     windows = np.lib.stride_tricks.as_strided(
         xp, (oh, ow, span, span, cin), (step * sy, step * sx, sy, sx, sc), writeable=False
     )
+    # the taps in patch order (out, kh, kw, in): a free view of the held copy
+    hwc = w.weights.transpose(0, 2, 3, 1)
     if phased:
-        taps = w.phase_taps.astype(dtype)
+        phase = np.zeros((4, cout, span, span, cin), dtype=dtype)
+        for p, (dy, dx) in enumerate(((0, 0), (0, 1), (1, 0), (1, 1))):
+            phase[p, :, dy : dy + k, dx : dx + k] = hwc
+        taps = phase.reshape(4 * cout, -1)
     else:
-        taps = w.phase_taps[:cout].reshape(cout, k + 1, k + 1, cin)[:, :k, :k]
-        taps = taps.astype(dtype).reshape(cout, -1).T
+        taps = hwc.reshape(cout, -1).T.astype(dtype)
     # one bias row per output row: cheaper than broadcasting a short vector
     bias = None if w.bias is None else np.tile(w.bias.astype(dtype), ow)
     band = max(1, BAND_BYTES // (ow * span * span * cin * dtype.itemsize))

@@ -362,7 +362,7 @@ def save_weights(model: Model, path) -> None:
             np.float32(rq.out_scale),
             0 if w.bias is None else 1,
         )
-        out += w.weights.astype(np.int8).tobytes()
+        out += w.weights.tobytes()
         if w.bias is not None:
             out += w.bias.astype("<i4").tobytes()
     with open(path, "wb") as f:
@@ -415,11 +415,7 @@ def load_weights(path) -> WeightFile:
         if bias_flag not in (0, 1):
             raise WeightFileError(f"layer {n}: bias flag {bias_flag}")
         wn = out_ch * in_ch * kernel * kernel
-        weights = (
-            np.frombuffer(r.take(wn), dtype=np.int8)
-            .reshape(out_ch, in_ch, kernel, kernel)
-            .astype(np.int32)
-        )
+        weights = np.frombuffer(r.take(wn), dtype=np.int8).reshape(out_ch, in_ch, kernel, kernel)
         bias = None
         if bias_flag:
             bias = np.frombuffer(r.take(4 * out_ch), dtype="<i4").astype(np.int32)
@@ -496,8 +492,8 @@ def random_init(cfg: ModelConfig, seed: int, with_bias: bool = True) -> Model:
         # conv1 reads the exact pixel lattice; the arithmetic above uses its
         # 32-bit copy, as the recorded benchmark files were made with it
         step_in = PIXEL_SCALE if i == 1 else in_scale
-        layers.append(_conv_step(i, cfg.weight_bits, cfg.act_bits, weights.astype(np.int32),
-                                 bias, w_scale, step_in, out_scale))
+        layers.append(_conv_step(i, cfg.weight_bits, cfg.act_bits, weights, bias, w_scale,
+                                 step_in, out_scale))
         in_scale = out_scale
     return build_model(cfg, WeightFile(cfg.weight_bits, cfg.act_bits, tuple(layers)))
 

@@ -205,11 +205,17 @@ def evaluate_ap(preds: list, gt: GroundTruthSet, iou_threshold: float = 0.5) -> 
     threshold; otherwise it counts as a false positive. AP is the area
     under the precision-recall curve with all-points interpolation.
 
-    No ground truth at all -> 0.0 by convention.
+    No ground truth at all -> 0.0 by convention. ValueError for an unknown
+    image, a NaN or infinite score or box field (the order is then not
+    defined), or an iou_threshold that is NaN or outside [0, 1].
     """
+    if not 0.0 <= iou_threshold <= 1.0:  # false for NaN too
+        raise ValueError(f"iou_threshold {iou_threshold} outside [0, 1]")
     for p in preds:
         if p[0] not in gt.boxes:
             raise ValueError(f"prediction references unknown image {p[0]!r}")
+        if not all(map(math.isfinite, p[1:])):
+            raise ValueError(f"non-finite prediction field in {p!r}")
     n_gt = gt.total()
     if n_gt == 0:
         return 0.0

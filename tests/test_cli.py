@@ -344,6 +344,29 @@ class TestFold:
             main(["fold"])
 
 
+@pytest.mark.parametrize("flag", ["init-weights --out", "infer --out", "infer --grid-dump",
+                                  "eval --detections"])
+def test_unwritable_output_exit_2(flag, weights, image, tmp_path, capsys):
+    # the output path's directory does not exist
+    bad = str(tmp_path / "missing" / "out")
+    out = str(tmp_path / "out.ppm")
+    gt = tmp_path / "gt.txt"
+    gt.write_text(f"{os.path.basename(image)}\n1\n10 10 20 20\n")
+    argv = {
+        "init-weights --out": ["init-weights", "--weight-bits", "4", "--act-bits", "4",
+                               "--out", bad],
+        "infer --out": ["infer", "--weights", weights, "--image", image, "--out", bad],
+        "infer --grid-dump": ["infer", "--weights", weights, "--image", image,
+                              "--out", out, "--grid-dump", bad],
+        "eval --detections": ["eval", "--weights", weights, "--images",
+                              os.path.dirname(image), "--gt", str(gt), "--detections", bad],
+    }[flag]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: output: ")
+    assert bad in err
+
+
 class TestParser:
     def test_no_command(self):
         with pytest.raises(SystemExit):

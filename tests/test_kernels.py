@@ -452,9 +452,9 @@ def _no_matmul(*args, **kwargs):
     raise AssertionError("matmul ran before the arguments were checked")
 
 
-def _conv_case(rng, h, wd, cin=3, cout=4, k=3):
+def _conv_case(rng, h, wd, cin=3, cout=4, k=3, wdtype=np.int32):
     x = QuantTensor.from_grid(rng.integers(1, 256, (h, wd, cin)).astype(np.int32), _u8())
-    w = rng.integers(-128, 128, (cout, cin, k, k)).astype(np.int32)
+    w = rng.integers(-128, 128, (cout, cin, k, k)).astype(wdtype)
     bias = rng.integers(-500, 500, cout).astype(np.int32)
     return x, ConvWeights(weights=w, w_params=_wp(), bias=bias)
 
@@ -531,8 +531,15 @@ class TestBands:
         # a budget smaller than any patch row gives bands of one row
         monkeypatch.setattr(kernels, "BAND_BYTES", 1)
 
-    @pytest.mark.parametrize("pool_stride", [None, 1, 2])
-    def test_one_row_bands_match_seven_loop(self, one_row_bands, monkeypatch, pool_stride):
+    # the taps are held as int8 whatever integer type they arrive in, so every
+    # weight dtype draws the same taps and must give the same accumulators;
+    # the int32 cases keep their ids, the pool stride alone
+    @pytest.mark.parametrize("pool_stride, wdtype", [
+        pytest.param(s, t, id=str(s) if t is np.int32 else f"{s}-{t.__name__}")
+        for s in (None, 1, 2) for t in (np.int32, np.int8, np.int64)
+    ])
+    def test_one_row_bands_match_seven_loop(self, one_row_bands, monkeypatch, pool_stride,
+                                            wdtype):
         rng = np.random.default_rng(30)
         calls = []
 
@@ -543,7 +550,7 @@ class TestBands:
         matmul = np.matmul
         monkeypatch.setattr(np, "matmul", counting_matmul)
         for h, wd, k in ((6, 8, 3), (4, 2, 1), (8, 6, 3), (2, 2, 3)):
-            x, cw = _conv_case(rng, h, wd, k=k)
+            x, cw = _conv_case(rng, h, wd, k=k, wdtype=wdtype)
             want = seven_loop_conv(x.grid(), cw.weights, cw.bias)
             if pool_stride is not None:
                 want = maxpool_grid(want, pool_stride, pad_value=-(1 << 40))

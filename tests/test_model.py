@@ -407,6 +407,25 @@ class TestWeightFiles:
             assert got.requant == want.requant
             assert (got.name, got.pool_stride) == (want.name, want.pool_stride)
 
+    def test_loaded_taps_are_held_once_as_int8(self, tmp_path):
+        # each conv holds one C-contiguous (out, k, k, in) int8 array, weights
+        # being its [out][in][kh][kw] view, and its bias: nothing else
+        m, path = self._file(tmp_path)
+        held = {}
+        for layer in load_weights(path).layers:
+            w = layer.weights.weights
+            out_ch, in_ch, k, _ = w.shape
+            assert w.dtype == np.int8
+            assert isinstance(w.base, np.ndarray) and w.base.flags.owndata
+            assert w.base.flags.c_contiguous and w.base.shape == (out_ch, k, k, in_ch)
+            assert np.array_equal(w.base.transpose(0, 3, 1, 2), w)
+            for v in vars(layer.weights).values():
+                if isinstance(v, np.ndarray):
+                    owner = v if v.base is None else v.base
+                    held[id(owner)] = owner.nbytes
+        bias_bytes = sum(layer.weights.bias.nbytes for layer in m.layers)
+        assert sum(held.values()) == 350696 + bias_bytes
+
     @pytest.mark.parametrize("key", sorted(WEIGHT_FILE_SHA256))
     def test_file_bytes_are_pinned(self, tmp_path, key):
         (wb, ab), seed, with_bias = key

@@ -499,6 +499,23 @@ class TestAp:
         preds = [("a", 0.9, 1, 0, 2, 2), ("a", 0.8, 0, 0, 2, 2)]
         assert evaluate_ap(preds, gt, iou_threshold=0.3) == 0.5
 
+    @pytest.mark.parametrize("field", range(1, 6), ids=["score", "x", "y", "w", "h"])
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_prediction_rejected(self, field, bad):
+        # a NaN score once gave AP 1.0 in one input order and 0.5 in the other
+        gt = self._gt({"a": [(10, 10, 20, 20)]})
+        good = ("a", 0.9, 10, 10, 20, 20)
+        bad_pred = good[:field] + (bad,) + good[field + 1 :]
+        for preds in ([good, bad_pred], [bad_pred, good]):
+            with pytest.raises(ValueError, match="non-finite"):
+                evaluate_ap(preds, gt)
+
+    @pytest.mark.parametrize("thr", [float("nan"), -0.1, 1.5, float("inf")])
+    def test_iou_threshold_outside_unit_interval_rejected(self, thr):
+        gt = self._gt({"a": [(10, 10, 20, 20)]})
+        with pytest.raises(ValueError, match="iou_threshold"):
+            evaluate_ap([("a", 0.9, 10, 10, 20, 20)], gt, iou_threshold=thr)
+
     def test_partial_iou_threshold(self):
         gt = self._gt({"a": [(0, 0, 10, 10)]})
         preds = [("a", 0.9, 0, 0, 10, 21)]  # IoU = 100/210 < 0.5
