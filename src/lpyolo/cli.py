@@ -37,7 +37,7 @@ from .model import (
     random_init,
     save_weights,
 )
-from .pipeline import PipelineConfig, PipelineError, serve_tcp
+from .pipeline import MAX_FRAME_SIDE, PipelineConfig, PipelineError, serve_tcp
 from .postprocess import (detect, evaluate_ap, format_detection_line, parse_widerface_gt,
                           to_pixel_box)
 
@@ -162,7 +162,12 @@ def cmd_bench(args) -> int:
 
 def _frame_reader(paths):
     for p in paths:
-        yield read_ppm(p)
+        img = read_ppm(p)
+        # a frame the wire cannot state is bad input, refused before any work
+        if max(img.width, img.height) > MAX_FRAME_SIDE:
+            raise ValueError(f"{p}: {img.width}x{img.height} frame is over "
+                             f"{MAX_FRAME_SIDE} pixels a side")
+        yield img
 
 
 def cmd_serve(args) -> int:

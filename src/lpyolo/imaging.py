@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import INPUT_SIZE, PIXEL_SCALE
-from .qcore import ACT_DTYPE, QuantParams, QuantTensor
+from .model import INPUT_SHAPE, INPUT_SIZE, PIXEL_LATTICE
+from .qcore import QuantTensor
 
 __all__ = [
     "Image",
@@ -129,22 +129,16 @@ def resize_nearest(img: Image, out_w: int = INPUT_SIZE, out_h: int = INPUT_SIZE)
 
 def pack_input(img: Image) -> QuantTensor:
     """416x416 RGB -> the network's 8-bit input lattice (scale 1/255), a
-    copy of the frame bytes, which are already ACT_DTYPE values."""
-    if (img.width, img.height) != (INPUT_SIZE, INPUT_SIZE):
-        raise ValueError(
-            f"expected {INPUT_SIZE}x{INPUT_SIZE} input, got {img.width}x{img.height}"
-        )
-    data = np.frombuffer(img.pixels, dtype=ACT_DTYPE).copy()
-    return QuantTensor(
-        shape=(INPUT_SIZE, INPUT_SIZE, 3),
-        data=data,
-        params=QuantParams(bits=8, signed=False, scale=PIXEL_SCALE),
-    )
+    copy of the frame bytes, which are already qcore.ACT_DTYPE values."""
+    grid = img.array()
+    if grid.shape != INPUT_SHAPE:
+        raise ValueError(f"input shape {grid.shape}, expected {INPUT_SHAPE}")
+    return QuantTensor(shape=INPUT_SHAPE, data=grid.reshape(-1).copy(), params=PIXEL_LATTICE)
 
 
 def to_input(img: Image) -> QuantTensor:
     """Any frame -> network input: resize unless already 416x416, then pack."""
-    if (img.width, img.height) != (INPUT_SIZE, INPUT_SIZE):
+    if img.array().shape != INPUT_SHAPE:
         img = resize_nearest(img)
     return pack_input(img)
 

@@ -104,7 +104,8 @@ class ConvWeights:
 
     The taps are held once, as an int8 copy in patch order (out, kh, kw, in)
     (bits <= 8, so int8 holds every tap); weights is its [out][in][kh][kw]
-    view, whatever integer array was passed in.
+    view, whatever integer array was passed in. bias is held as an int32
+    copy. Both copies are read-only, so l1_max and bias_max stay true.
     """
 
     weights: np.ndarray
@@ -132,6 +133,7 @@ class ConvWeights:
             )
         # in range: the int8 copy is exact, and its abs() in int32 cannot wrap
         hwc = w.transpose(0, 2, 3, 1).astype(np.int8, order="C")
+        hwc.flags.writeable = False
         object.__setattr__(self, "weights", hwc.transpose(0, 3, 1, 2))
         l1 = np.abs(hwc.reshape(out_ch, -1).astype(np.int32)).sum(axis=1, dtype=np.int64)
         object.__setattr__(self, "l1_max", int(l1.max(initial=0)))
@@ -146,6 +148,9 @@ class ConvWeights:
             bias_max = int(np.abs(b.astype(np.int64)).max(initial=0))
             if bias_max >= ACC_LIMIT:
                 raise ValueError("bias exceeds 32-bit accumulator range")
+            b = b.astype(np.int32)
+            b.flags.writeable = False
+            object.__setattr__(self, "bias", b)
         object.__setattr__(self, "bias_max", bias_max)
 
     @property
@@ -327,7 +332,7 @@ def conv2d_acc(
     Pooling the accumulator before requantize equals pooling its requantized
     lattice: requantize is monotone non-decreasing (a positive float64
     multiply, +offset, rint and clip each are), and max commutes with a
-    monotone map. -inf padding never wins, as qmin never wins on the lattice.
+    monotone map, also over a window cut short by the edge.
 
     ValueError for a pool stride other than 1 or 2, or a stride-2 pool of
     odd height or width, before any arithmetic. The large temporaries live
@@ -386,7 +391,7 @@ def conv2d_acc(
             out_rows = flat.reshape(rows, ow * cout)
             out_rows += bias
     if pool_stride == 1:
-        return maxpool_grid(out, 1, pad_value=-np.inf)
+        return maxpool_grid(out, 1)
     return out
 
 
@@ -407,11 +412,12 @@ def conv2d_real(
         raise ValueError(f"input channels {x.shape[2]} != weight channels {in_ch}")
     oh, ow = x.shape[0], x.shape[1]
     pad = kh // 2
-    x = np.pad(x, ((pad, pad), (pad, pad), (0, 0)))
+    xp = np.zeros((oh + 2 * pad, ow + 2 * pad, in_ch))
+    xp[pad : pad + oh, pad : pad + ow] = x
     acc = np.zeros((oh, ow, out_ch))
     for ky in range(kh):
         for kx in range(kw):
-            acc += x[ky : ky + oh, kx : kx + ow, :] @ wt[:, :, ky, kx].T
+            acc += xp[ky : ky + oh, kx : kx + ow, :] @ wt[:, :, ky, kx].T
     if bias is not None:
         acc += np.asarray(bias, dtype=np.float64)
     return acc
@@ -452,12 +458,12 @@ def requantize(acc: np.ndarray, spec: RequantSpec) -> QuantTensor:
     return QuantTensor(shape=(h, wd, c), data=q, params=p)
 
 
-def maxpool_grid(grid: np.ndarray, stride: int, pad_value=0) -> np.ndarray:
+def maxpool_grid(grid: np.ndarray, stride: int) -> np.ndarray:
     """2x2 max pool on a raw (h, w, c) array.
 
     stride 2 halves both spatial dims (they must be even). stride 1 keeps
-    the shape, padding one row and column at the bottom/right with
-    pad_value, which must be the range minimum so padding never wins.
+    the shape; a window cut short by the bottom or right edge takes the max
+    of what it still covers.
     """
     if grid.ndim != 3:
         raise ValueError(f"expected (h, w, c) grid, got ndim={grid.ndim}")
@@ -469,14 +475,16 @@ def maxpool_grid(grid: np.ndarray, stride: int, pad_value=0) -> np.ndarray:
         bottom = np.maximum(grid[1::2, 0::2], grid[1::2, 1::2])
         return np.maximum(top, bottom, out=top)
     if stride == 1:
-        padded = np.pad(grid, ((0, 1), (0, 1), (0, 0)), constant_values=pad_value)
-        win = np.lib.stride_tricks.sliding_window_view(padded, (2, 2), axis=(0, 1))
-        return win.max(axis=(3, 4))
+        # in place: numpy reads each overlapping operand as if copied first
+        out = grid.copy()
+        np.maximum(out[:-1], out[1:], out=out[:-1])
+        np.maximum(out[:, :-1], out[:, 1:], out=out[:, :-1])
+        return out
     raise ValueError(f"unsupported pool stride {stride}")
 
 
 def maxpool(x: QuantTensor, stride: int) -> QuantTensor:
     """2x2 max pool; lattice parameters pass through unchanged."""
-    out = maxpool_grid(x.grid(), stride, pad_value=x.params.qmin)
+    out = maxpool_grid(x.grid(), stride)
     h, w, c = out.shape
     return QuantTensor(shape=(h, w, c), data=out.reshape(-1), params=x.params)

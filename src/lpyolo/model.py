@@ -47,6 +47,9 @@ __all__ = [
     "OUTPUT_GRID",
     "OUTPUT_CHANNELS",
     "PIXEL_SCALE",
+    "PIXEL_LATTICE",
+    "INPUT_SHAPE",
+    "OUTPUT_SHAPE",
     "DEFAULT_ANCHORS",
     "DECODE_MODES",
     "plan_shapes",
@@ -86,6 +89,11 @@ POOL_STRIDES = (2, 2, 2, 2, 2, 1)
 # Kept as an exact float64 expression; the 32-bit copy a weight file stores
 # is re-derived back to this value on load.
 PIXEL_SCALE = 1.0 / 255.0
+
+# The network's I/O contract: input pixels and output grid share one lattice.
+PIXEL_LATTICE = QuantParams(bits=8, signed=False, scale=PIXEL_SCALE)
+INPUT_SHAPE = (INPUT_SIZE, INPUT_SIZE, 3)
+OUTPUT_SHAPE = (OUTPUT_GRID, OUTPUT_GRID, OUTPUT_CHANNELS)
 
 DEFAULT_ANCHORS = ((81.0, 82.0), (135.0, 169.0), (344.0, 319.0))
 
@@ -234,8 +242,7 @@ def _pool_stride(index: int) -> int | None:
 def plan_shapes() -> list:
     """Static (name, in_shape, out_shape) chain of the 16-layer graph."""
     rows = []
-    h = w = INPUT_SIZE
-    c = 3
+    h, w, c = INPUT_SHAPE
     for i, (cin, cout, _k) in enumerate(CONV_PLAN, start=1):
         if cin != c:
             raise AssertionError(f"conv{i} plan expects {cin} channels, chain has {c}")
@@ -246,7 +253,7 @@ def plan_shapes() -> list:
             oh, ow = (h // 2, w // 2) if stride == 2 else (h, w)
             rows.append((f"pool{i}", (h, w, c), (oh, ow, c)))
             h, w = oh, ow
-    if (h, w, c) != (OUTPUT_GRID, OUTPUT_GRID, OUTPUT_CHANNELS):
+    if (h, w, c) != OUTPUT_SHAPE:
         raise AssertionError(f"chain ends at {(h, w, c)}")
     return rows
 
@@ -418,7 +425,7 @@ def load_weights(path) -> WeightFile:
         weights = np.frombuffer(r.take(wn), dtype=np.int8).reshape(out_ch, in_ch, kernel, kernel)
         bias = None
         if bias_flag:
-            bias = np.frombuffer(r.take(4 * out_ch), dtype="<i4").astype(np.int32)
+            bias = np.frombuffer(r.take(4 * out_ch), dtype="<i4")
         if n == 1:
             ins = _restore_exact_scale(ins, PIXEL_SCALE, f"conv{n} input")
         if n == count:
@@ -488,7 +495,7 @@ def random_init(cfg: ModelConfig, seed: int, with_bias: bool = True) -> Model:
         if with_bias:
             acc_std = np.sqrt(n) * (in_qmax / 2.0) * (wp.qmax / np.sqrt(3.0))
             b = max(1, int(acc_std / 4.0))
-            bias = rng.integers(-b, b + 1, size=cout).astype(np.int32)
+            bias = rng.integers(-b, b + 1, size=cout)
         # conv1 reads the exact pixel lattice; the arithmetic above uses its
         # 32-bit copy, as the recorded benchmark files were made with it
         step_in = PIXEL_SCALE if i == 1 else in_scale
@@ -503,10 +510,9 @@ def random_init(cfg: ModelConfig, seed: int, with_bias: bool = True) -> Model:
 
 
 def _check_input_quant(x: QuantTensor) -> None:
-    if x.shape != (INPUT_SIZE, INPUT_SIZE, 3):
-        raise ValueError(f"input shape {x.shape}, expected {(INPUT_SIZE, INPUT_SIZE, 3)}")
-    p = x.params
-    if p.bits != 8 or p.signed or p.scale != PIXEL_SCALE:
+    if x.shape != INPUT_SHAPE:
+        raise ValueError(f"input shape {x.shape}, expected {INPUT_SHAPE}")
+    if x.params != PIXEL_LATTICE:
         raise ValueError("input must be 8-bit unsigned at scale 1/255")
 
 
@@ -517,7 +523,7 @@ def precision_plan(model: Model) -> list:
     conv's output lattice, which pools pass through). Raises ValueError
     naming the first layer whose bound reaches 2^31."""
     rows = []
-    params = QuantParams(bits=8, signed=False, scale=PIXEL_SCALE)
+    params = PIXEL_LATTICE
     for layer in model.layers:
         try:
             bound, dtype = acc_plan(params, layer.weights)
@@ -550,8 +556,8 @@ def forward_float(model: Model, x: FloatTensor, mode: str = "fake_quant") -> Flo
     values (exact, all partial sums are far below 2^53), and the result goes
     through the very same requantize step as the integer path.
     """
-    if x.shape != (INPUT_SIZE, INPUT_SIZE, 3):
-        raise ValueError(f"input shape {x.shape}, expected {(INPUT_SIZE, INPUT_SIZE, 3)}")
+    if x.shape != INPUT_SHAPE:
+        raise ValueError(f"input shape {x.shape}, expected {INPUT_SHAPE}")
     if mode != "fake_quant":
         raise ValueError(f"unknown mode {mode!r}")
     grid = x.grid()
@@ -568,6 +574,6 @@ def forward_float(model: Model, x: FloatTensor, mode: str = "fake_quant") -> Flo
         # pooling after requantize is the unfused order, so this checks
         # forward's pool-then-requantize independently
         if layer.pool_stride is not None:
-            grid = maxpool_grid(grid, layer.pool_stride, pad_value=0.0)
+            grid = maxpool_grid(grid, layer.pool_stride)
     h, wd, c = grid.shape
     return FloatTensor(shape=(h, wd, c), data=grid.reshape(-1))

@@ -49,6 +49,7 @@ __all__ = [
     "WireVersionError",
     "WireLengthError",
     "STAGES",
+    "MAX_FRAME_SIDE",
     "encode_frame",
     "encode_end",
     "read_frame",
@@ -69,6 +70,9 @@ MSG_END = 2
 _HEAD = struct.Struct("<4sBBQHHH")
 _DET = struct.Struct("<6f")
 _PAYLOAD_LEN = struct.Struct("<I")
+
+# Largest frame width or height a frame message can state (a u16 each).
+MAX_FRAME_SIDE = (1 << 16) - 1
 
 # Largest single read request. A header may claim a payload of almost 4 GiB
 # and a buffered socket reader sizes its buffer from the request, so capping
@@ -126,7 +130,7 @@ class FrameMessage:
     def __post_init__(self) -> None:
         if not 0 <= self.frame_id < 1 << 64:
             raise ValueError(f"frame_id {self.frame_id} outside u64")
-        if not (0 <= self.width < 1 << 16 and 0 <= self.height < 1 << 16):
+        if not (0 <= self.width <= MAX_FRAME_SIDE and 0 <= self.height <= MAX_FRAME_SIDE):
             raise ValueError(f"dims {self.width}x{self.height} outside u16")
         if len(self.detections) >= 1 << 16:
             raise ValueError("too many detections for u16 count")

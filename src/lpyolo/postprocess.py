@@ -16,7 +16,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .model import (DECODE_MODES, INPUT_SIZE, OUTPUT_CHANNELS, OUTPUT_GRID, PIXEL_SCALE,
+from .model import (DECODE_MODES, INPUT_SIZE, OUTPUT_GRID, OUTPUT_SHAPE, PIXEL_LATTICE,
                     ModelConfig, RunConfig)
 from .qcore import QuantTensor
 
@@ -78,13 +78,11 @@ class GroundTruthSet:
 
 def dequantize_output(grid: QuantTensor) -> np.ndarray:
     """8-bit prediction grid -> real values in [0, 1]."""
-    want = (OUTPUT_GRID, OUTPUT_GRID, OUTPUT_CHANNELS)
-    if grid.shape != want:
-        raise ValueError(f"grid shape {grid.shape}, expected {want}")
-    p = grid.params
-    if p.bits != 8 or p.signed or p.scale != PIXEL_SCALE:
+    if grid.shape != OUTPUT_SHAPE:
+        raise ValueError(f"grid shape {grid.shape}, expected {OUTPUT_SHAPE}")
+    if grid.params != PIXEL_LATTICE:
         raise ValueError("output grid must be 8-bit unsigned at scale 1/255")
-    return grid.grid().astype(np.float64) * p.scale
+    return grid.grid().astype(np.float64) * PIXEL_LATTICE.scale
 
 
 def decode_grid(
@@ -106,9 +104,8 @@ def decode_grid(
     [0, 1]; NaN is rejected too.
     """
     grid = np.asarray(grid, dtype=np.float64)
-    want = (OUTPUT_GRID, OUTPUT_GRID, OUTPUT_CHANNELS)
-    if grid.shape != want:
-        raise ValueError(f"grid shape {grid.shape}, expected {want}")
+    if grid.shape != OUTPUT_SHAPE:
+        raise ValueError(f"grid shape {grid.shape}, expected {OUTPUT_SHAPE}")
     if not ((grid >= 0.0) & (grid <= 1.0)).all():
         raise ValueError("grid values outside [0, 1]")
     if decode_mode not in DECODE_MODES:

@@ -454,3 +454,11 @@ class TestServeCommand:
         _ids, code, _out, err = self._serve(weights, frames)
         assert code == 2, err
         assert "image" in err and "truncated" in err
+
+    def test_oversize_frame_exit_2(self, weights, tmp_path):
+        # readable, but wider than a frame message's u16 width can state
+        frames = self._frames(tmp_path, 1)
+        write_ppm(Image(width=65536, height=1, pixels=bytes(3 * 65536)), frames / "1.ppm")
+        _ids, code, _out, err = self._serve(weights, frames)
+        assert code == 2, err
+        assert "error: image:" in err and "65536x1" in err

@@ -91,6 +91,17 @@ class TestConvWeights:
         with pytest.raises(ValueError, match="32-bit"):
             ConvWeights(weights=w, w_params=_wp(), bias=bias)
 
+    def test_callers_later_bias_write_does_not_reach_the_conv(self):
+        # planned float32 for a zero bias; 2^24 + 1 is the first integer
+        # float32 cannot hold, so a shared bias array would break exactness
+        bias = np.zeros(1, dtype=np.int32)
+        cw = ConvWeights(weights=np.ones((1, 1, 1, 1), dtype=np.int32), w_params=_wp(),
+                         bias=bias)
+        bias[0] = (1 << 24) + 1
+        x = QuantTensor.from_grid(np.full((1, 1, 1), 255, dtype=np.int32), _u8())
+        acc = conv2d_acc(x, cw)
+        assert acc.dtype == np.float32 and acc[0, 0, 0] == 255
+
 
 class TestConv:
     def test_identity_1x1(self):
@@ -190,7 +201,7 @@ class TestConv:
         cw = ConvWeights(weights=w, w_params=wp, bias=bias)
         want = seven_loop_conv(x.grid(), w, bias)
         if pool_stride is not None:
-            want = maxpool_grid(want, pool_stride, pad_value=-(1 << 40))
+            want = maxpool_grid(want, pool_stride)
         assert np.array_equal(conv2d_acc(x, cw, pool_stride=pool_stride), want)
 
     @pytest.mark.parametrize("k", [1, 3])
@@ -340,7 +351,7 @@ class TestMaxPool:
 
     def test_stride1_shape_preserved(self):
         g = np.arange(9, dtype=np.int32).reshape(3, 3, 1)
-        out = maxpool_grid(g, stride=1, pad_value=0)
+        out = maxpool_grid(g, stride=1)
         assert out.shape == (3, 3, 1)
         assert np.array_equal(
             out[:, :, 0], np.array([[4, 5, 5], [7, 8, 8], [7, 8, 8]])
@@ -348,13 +359,26 @@ class TestMaxPool:
 
     def test_stride1_padding_never_wins(self):
         g = np.full((4, 4, 1), -5, dtype=np.int32)
-        out = maxpool_grid(g, stride=1, pad_value=-8)
+        out = maxpool_grid(g, stride=1)
         assert np.all(out == -5)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 1), (1, 5, 2), (4, 1, 1), (5, 6, 3)])
+    def test_stride1_edge_window_takes_max_of_what_it_covers(self, shape):
+        # all negative, so a zero standing in for the missing row or column
+        # would win at the bottom and right edges
+        g = np.random.default_rng(19).integers(-100, 0, size=shape).astype(np.int32)
+        before = g.copy()
+        out = maxpool_grid(g, stride=1)
+        h, w, _c = shape
+        want = [[g[y : y + 2, x : x + 2].max(axis=(0, 1)) for x in range(w)] for y in range(h)]
+        assert out.dtype == g.dtype
+        assert np.array_equal(out, np.array(want))
+        assert np.array_equal(g, before)
 
     def test_stride1_matches_naive(self):
         rng = np.random.default_rng(17)
         g = rng.integers(0, 16, size=(6, 7, 3)).astype(np.int32)
-        out = maxpool_grid(g, stride=1, pad_value=0)
+        out = maxpool_grid(g, stride=1)
         h, w, c = g.shape
         for y in range(h):
             for x in range(w):
@@ -410,7 +434,7 @@ class TestPoolBeforeRequantize:
             data.draw(st.lists(values, min_size=h * w * c, max_size=h * w * c)),
             dtype=dtype,
         ).reshape(h, w, c)
-        fused = requantize(maxpool_grid(acc, stride, pad_value=-np.inf), spec)
+        fused = requantize(maxpool_grid(acc, stride), spec)
         reference = maxpool(requantize(acc, spec), stride)
         assert fused.params == reference.params
         assert fused.shape == reference.shape
@@ -423,7 +447,7 @@ class TestPoolBeforeRequantize:
         w = rng.integers(-128, 128, (4, 3, 3, 3)).astype(np.int32)
         bias = rng.integers(-500, 500, 4).astype(np.int32)
         cw = ConvWeights(weights=w, w_params=_wp(), bias=bias)
-        want = maxpool_grid(seven_loop_conv(x.grid(), w, bias), stride, pad_value=-(1 << 40))
+        want = maxpool_grid(seven_loop_conv(x.grid(), w, bias), stride)
         assert np.array_equal(conv2d_acc(x, cw, pool_stride=stride), want)
 
 
@@ -553,7 +577,7 @@ class TestBands:
             x, cw = _conv_case(rng, h, wd, k=k, wdtype=wdtype)
             want = seven_loop_conv(x.grid(), cw.weights, cw.bias)
             if pool_stride is not None:
-                want = maxpool_grid(want, pool_stride, pad_value=-(1 << 40))
+                want = maxpool_grid(want, pool_stride)
             calls.clear()
             assert np.array_equal(conv2d_acc(x, cw, pool_stride=pool_stride), want)
             assert len(calls) == (h // 2 if pool_stride == 2 else h)

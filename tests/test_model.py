@@ -426,6 +426,17 @@ class TestWeightFiles:
         bias_bytes = sum(layer.weights.bias.nbytes for layer in m.layers)
         assert sum(held.values()) == 350696 + bias_bytes
 
+    def test_taps_and_bias_are_read_only(self, tmp_path):
+        # acc_plan's proof rests on l1_max and bias_max, fixed at construction
+        m, path = self._file(tmp_path)
+        for layers in (m.layers, load_weights(path).layers):
+            for layer in layers:
+                w = layer.weights
+                with pytest.raises(ValueError, match="read-only"):
+                    w.weights[0, 0, 0, 0] = 1
+                with pytest.raises(ValueError, match="read-only"):
+                    w.bias[0] = (1 << 24) + 1
+
     @pytest.mark.parametrize("key", sorted(WEIGHT_FILE_SHA256))
     def test_file_bytes_are_pinned(self, tmp_path, key):
         (wb, ab), seed, with_bias = key
