@@ -8,24 +8,34 @@ may run on two CPUs and BLAS runs on one thread, the other stages one each
 a private sentinel object pushed through every queue, so None is an
 ordinary item. A failing stage records its error, switches to draining its
 input so upstream never deadlocks, and the controller re-raises once all
-workers have flushed. An interrupt in the controller (Ctrl-C) is recorded
-the same way, so the stages drain and exit before it propagates; if a send
-to a client that stopped reading still blocks the stream after a short
-grace, serve_tcp shuts the socket down.
+workers have flushed; a failing source first lets the stages finish the
+items it already yielded. An interrupt in the controller (Ctrl-C) is
+recorded the same way, so the stages drain and exit before it propagates;
+if a send to a client that stopped reading still blocks the stream after
+a short grace, serve_tcp shuts the socket down.
 
 Also defines the little-endian TCP framing for annotated frames and
 serve_tcp, the one entry point that runs the four stages: a single-client
-server with backpressure all the way down to the socket. The infer stage's
-matmuls run on one BLAS thread, set when the model was built
-(model.build_model) and checked again by serve_tcp.
+server with backpressure all the way down to the socket. Each infer thread
+drives its own infer worker process: it writes a frame's input into memory
+the two share and signals over a pipe, and the worker runs forward, so the
+CNN does not wait on the interpreter lock the other stage threads hold.
+The workers are forked once per serve_tcp call, with the model already
+built, so they run its matmuls on the one BLAS thread model.build_model
+set.
 """
 
 from __future__ import annotations
 
 import collections
 import logging
+import math
+import mmap
+import multiprocessing
 import os
 import queue
+import resource
+import signal
 import socket
 import struct
 import threading
@@ -36,8 +46,10 @@ import numpy as np
 
 from .imaging import to_input
 from .kernels import _pin_blas_threads
-from .model import Model, RunConfig, forward
+from .model import (INPUT_SHAPE, OUTPUT_SHAPE, PIXEL_LATTICE, Model, RunConfig,
+                    _check_input_quant, forward)
 from .postprocess import detect
+from .qcore import ACT_DTYPE, QuantTensor
 
 __all__ = [
     "FrameMessage",
@@ -318,7 +330,9 @@ def run_staged(source, stages, queue_capacity: int = PipelineConfig.queue_capaci
     not.
 
     Raises PipelineError with the originating stage once everything has
-    drained. An interrupt (KeyboardInterrupt) raised while feeding the
+    drained. When the source raises, the stages first finish the items it
+    already yielded, and on_end runs; its error wins over a stage's. An
+    interrupt (KeyboardInterrupt) raised while feeding the
     source, or while waiting for the stages after it, makes the stages
     drain without work. If they have not all exited after
     INTERRUPT_GRACE_S, on_interrupt (if any) runs in the caller's thread to
@@ -410,13 +424,14 @@ def run_staged(source, stages, queue_capacity: int = PipelineConfig.queue_capaci
     for t in threads:
         t.start()
     interrupt = None
+    source_err = None
     try:
         for item in source:
             if err:
                 break
             feeds[0].put(item)
-    except Exception as e:
-        fail("source", e)
+    except Exception as e:  # the items already yielded still go through
+        source_err = e
     except BaseException as e:
         fail("source", e)
         interrupt = e
@@ -432,6 +447,8 @@ def run_staged(source, stages, queue_capacity: int = PipelineConfig.queue_capaci
         settle(None)
         raise interrupt
     wall = time.perf_counter() - t_start
+    if source_err is not None:
+        raise PipelineError("source", source_err)
     if err:
         stage, original = err[0]
         raise PipelineError(stage, original)
@@ -450,9 +467,8 @@ def run_staged(source, stages, queue_capacity: int = PipelineConfig.queue_capaci
 def _infer_workers() -> int:
     """Two infer workers when the process may run on at least two CPUs and
     BLAS is set to one thread, so each worker's matmuls keep to one core;
-    otherwise one. With BLAS's default threads, OpenBLAS's helper thread
-    fights a second worker: two workers ran 27-28 forwards/s against one
-    worker's 35-37."""
+    otherwise one, since OpenBLAS's helper thread would fight a second
+    worker."""
     if hasattr(os, "sched_getaffinity"):
         cpus = len(os.sched_getaffinity(0))
     else:
@@ -460,14 +476,74 @@ def _infer_workers() -> int:
     return 2 if cpus >= 2 and _pin_blas_threads() else 1
 
 
-def _build_stages(model: Model, run_cfg: RunConfig, sink, infer_workers: int):
+def _infer_worker(pipe, inherited, frame: np.ndarray, model: Model) -> None:
+    """Body of an infer worker process. Each message on the pipe says the
+    next input is in frame, memory shared with the serving process; reply
+    with forward's output bytes, or with an empty message and then the
+    exception forward raised. Return when the pipe ends. SIGINT is
+    ignored: on Ctrl-C the serving process drains its stages, which still
+    need this worker, and then closes the pipe."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    for end in inherited:  # the serving process's ends, copied by the fork
+        end.close()
+    # every byte is a value on the 8-bit pixel lattice, so the tensor stays
+    # valid while each input overwrites its data
+    x = QuantTensor(INPUT_SHAPE, frame, PIXEL_LATTICE)
+    while True:
+        try:
+            pipe.recv_bytes()
+        except EOFError:
+            return
+        try:
+            out = forward(model, x)
+        except Exception as e:
+            pipe.send_bytes(b"")
+            pipe.send(e)
+        else:
+            pipe.send_bytes(out.data)
+
+
+def _start_infer_workers(model: Model, links: list, procs: list) -> None:
+    """Fork _infer_workers() infer workers. Each gets a pipe and an input
+    buffer in memory shared with this process; (pipe end, buffer) goes to
+    links and the process to procs as each starts, so the caller can stop
+    those that did."""
+    fork = multiprocessing.get_context("fork")
+    for k in range(_infer_workers()):
+        pipe, child_end = fork.Pipe()
+        frame = np.frombuffer(mmap.mmap(-1, math.prod(INPUT_SHAPE)), ACT_DTYPE)
+        links.append((pipe, frame))
+        proc = fork.Process(target=_infer_worker, name=f"infer-{k}",
+                            args=(child_end, [end for end, _ in links], frame, model))
+        try:
+            proc.start()
+        finally:
+            child_end.close()
+        procs.append(proc)
+
+
+def _build_stages(model: Model, run_cfg: RunConfig, sink, links: list):
+    free = list(links)
+    bound = threading.local()
+
     def preprocess(item):
         frame_id, img = item
         return frame_id, img, to_input(img)
 
     def infer(item):
         frame_id, img, x = item
-        return frame_id, img, forward(model, x)
+        link = getattr(bound, "link", None)
+        if link is None:  # each infer thread drives one worker
+            link = bound.link = free.pop()
+        pipe, frame = link
+        _check_input_quant(x)
+        frame[:] = x.data
+        pipe.send_bytes(b"")  # the input is in frame
+        out = pipe.recv_bytes()
+        if not out:  # forward raised in the worker; its exception follows
+            raise pipe.recv()
+        return frame_id, img, QuantTensor(OUTPUT_SHAPE, np.frombuffer(out, ACT_DTYPE),
+                                          PIXEL_LATTICE)
 
     def postprocess(item):
         frame_id, img, out = item
@@ -481,7 +557,7 @@ def _build_stages(model: Model, run_cfg: RunConfig, sink, infer_workers: int):
         )
 
     fns = (preprocess, infer, postprocess, sink)
-    return [(name, fn, infer_workers if fn is infer else 1) for name, fn in zip(STAGES, fns)]
+    return [(name, fn, len(links) if fn is infer else 1) for name, fn in zip(STAGES, fns)]
 
 
 # ---------------------------------------------------------------------------
@@ -497,11 +573,16 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
     during the failure are not replayed).
     Frame ids number source frames, so they keep counting across a client
     swap. Returns the stats of the run that exhausted the source.
+
+    The infer worker processes start once the socket is bound and on_bound
+    has run, serve every client, and are stopped and joined before this
+    returns or raises.
     """
     cfg = cfg or PipelineConfig()
     run_cfg = run_cfg or RunConfig()
     frames = enumerate(source)
-    infer_workers = _infer_workers()
+    links: list = []
+    procs: list = []
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -509,20 +590,17 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
         srv.listen(1)
         if on_bound is not None:
             on_bound(srv.getsockname())
+        _start_infer_workers(model, links, procs)
         while True:
             conn, peer = srv.accept()
             conn.settimeout(SEND_TIMEOUT_S)
             log.info("client %s connected", peer)
             try:
                 sink = _socket_sink(conn)
-                stages = _build_stages(model, run_cfg, sink, infer_workers)
+                stages = _build_stages(model, run_cfg, sink, links)
                 stats = run_staged(frames, stages, cfg.queue_capacity, on_end=lambda: sink(None),
                                    on_interrupt=lambda: _shutdown(conn))
-                log.info(
-                    "stream complete: %d frames in %.2fs", stats.frames,
-                    stats.wall_seconds,
-                )
-                return stats
+                break
             except PipelineError as e:
                 if e.stage == "stream" and isinstance(e.original, OSError):
                     log.warning("client %s dropped: %s; awaiting next", peer, e.original)
@@ -531,7 +609,18 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
             finally:
                 conn.close()
     finally:
+        for pipe, _frame in links:  # each worker exits at the end of its pipe
+            pipe.close()
+        for proc in procs:
+            proc.join()
         srv.close()
+    # ru_maxrss of the children is the largest waited-for child's peak
+    log.info(
+        "stream complete: %d frames in %.2fs; infer worker peak RSS %.1f MB",
+        stats.frames, stats.wall_seconds,
+        resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024,
+    )
+    return stats
 
 
 def _shutdown(conn: socket.socket) -> None:

@@ -459,6 +459,7 @@ class TestServeCommand:
         # readable, but wider than a frame message's u16 width can state
         frames = self._frames(tmp_path, 1)
         write_ppm(Image(width=65536, height=1, pixels=bytes(3 * 65536)), frames / "1.ppm")
-        _ids, code, _out, err = self._serve(weights, frames)
+        ids, code, _out, err = self._serve(weights, frames)
+        assert ids == [0]  # the frame read before the bad one still goes out
         assert code == 2, err
         assert "error: image:" in err and "65536x1" in err

@@ -1,6 +1,8 @@
 import io
 import itertools
+import logging
 import math
+import multiprocessing
 import os
 import socket
 import struct
@@ -83,7 +85,7 @@ def run_child(code):
 # KeyboardInterrupt (a background job may start with SIGINT ignored) and a
 # 60 s send timeout, so an exit that waits it out fails the test.
 SERVE_CHILD_SETUP = textwrap.dedent("""
-    import itertools, os, signal, socket, threading, time
+    import itertools, multiprocessing, os, signal, socket, threading, time
     import numpy as np
     from lpyolo import kernels, pipeline
     from lpyolo.imaging import Image
@@ -327,13 +329,19 @@ class TestRunStaged:
         assert isinstance(ei.value.original, OSError)
 
     def test_source_error_surfaces(self):
+        # the item yielded before the error still reaches the last stage
         def bad_source():
             yield 1
             raise ValueError("source broke")
 
+        seen, ends = [], []
         with pytest.raises(PipelineError) as ei:
-            run_staged(bad_source(), [("a", lambda x: x)])
+            run_staged(bad_source(), [("a", lambda x: x), ("c", seen.append)],
+                       on_end=lambda: ends.append(1))
         assert ei.value.stage == "source"
+        assert isinstance(ei.value.original, ValueError)
+        assert seen == [1]
+        assert ends == [1]
 
     def test_on_end_runs_after_items(self):
         order = []
@@ -550,17 +558,18 @@ class TestRunPipeline:
 
 
 class TestInferWorkers:
-    """serve_tcp runs two infer workers only where they help: two CPUs to
-    run on and BLAS on one thread."""
+    """serve_tcp runs forward in infer worker processes: two only where
+    they help (two CPUs to run on and BLAS on one thread), and a worker's
+    failure fails the infer stage."""
 
-    def infer_threads(self, model, monkeypatch):
+    def infer_workers(self, model, monkeypatch):
         counts = set()
 
-        def counting_forward(m, x):
-            counts.add(sum(t.name == "stage-infer" for t in threading.enumerate()))
-            return forward(m, x)
+        def counting_detect(out, cfg, run_cfg):  # postprocess runs in this process
+            counts.add(sum(p.name.startswith("infer-") for p in multiprocessing.active_children()))
+            return detect(out, cfg, run_cfg)
 
-        monkeypatch.setattr(pipeline, "forward", counting_forward)
+        monkeypatch.setattr(pipeline, "detect", counting_detect)
         rng = np.random.default_rng(5)
         msgs, _stats = serve_one_client([rand_image(rng, 16, 16) for _ in range(3)], model)
         assert [m.frame_id for m in msgs] == [0, 1, 2]
@@ -571,16 +580,41 @@ class TestInferWorkers:
         if lib is None or not hasattr(lib, "scipy_openblas_set_num_threads64_"):
             pytest.skip("numpy without its bundled scipy-openblas")
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
-        assert self.infer_threads(model, monkeypatch) == {2}
+        assert self.infer_workers(model, monkeypatch) == {2}
 
     def test_one_without_blas_pin(self, model, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
         monkeypatch.setattr(kernels, "_openblas", lambda: None)
-        assert self.infer_threads(model, monkeypatch) == {1}
+        assert self.infer_workers(model, monkeypatch) == {1}
 
     def test_one_on_one_cpu(self, model, monkeypatch):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-        assert self.infer_threads(model, monkeypatch) == {1}
+        assert self.infer_workers(model, monkeypatch) == {1}
+
+    def test_forward_error_keeps_its_type(self, model, monkeypatch):
+        def broken_forward(m, x):
+            raise ZeroDivisionError("conv1 broke")
+
+        monkeypatch.setattr(pipeline, "forward", broken_forward)  # the fork inherits it
+        with pytest.raises(PipelineError) as ei:
+            serve_one_client([rand_image(np.random.default_rng(6), 16, 16)], model)
+        assert ei.value.stage == "infer"
+        assert isinstance(ei.value.original, ZeroDivisionError)
+        assert str(ei.value.original) == "conv1 broke"
+
+    def test_a_worker_that_dies_fails_the_stage(self, model, monkeypatch):
+        monkeypatch.setattr(pipeline, "forward", lambda m, x: os._exit(3))
+        with pytest.raises(PipelineError) as ei:
+            serve_one_client([rand_image(np.random.default_rng(7), 16, 16)], model)
+        assert ei.value.stage == "infer"
+        assert isinstance(ei.value.original, EOFError)
+
+    def test_stream_complete_logs_worker_peak_rss(self, model, caplog):
+        caplog.set_level(logging.INFO, logger="lpyolo.pipeline")
+        serve_one_client([rand_image(np.random.default_rng(8), 16, 16)], model)
+        done = [r.getMessage() for r in caplog.records if "stream complete" in r.getMessage()]
+        assert len(done) == 1
+        assert "infer worker peak RSS" in done[0]
 
 
 class TestServeTcp:
@@ -638,6 +672,13 @@ class TestServeTcp:
         t = threading.Thread(target=serve)
         t.start()
         assert ready.wait(5)
+        # connect once the infer workers are forked: a fork copies every open
+        # descriptor, and a worker's copy of this socket would keep the
+        # connection open past the close below
+        deadline = time.monotonic() + 10
+        while (len(multiprocessing.active_children()) < pipeline._infer_workers()
+               and time.monotonic() < deadline):
+            time.sleep(0.01)
 
         first = socket.create_connection(bound["addr"], timeout=10)
         f = first.makefile("rb")
@@ -702,6 +743,7 @@ class TestServeTcp:
                 pipeline.serve_tcp(("127.0.0.1", 0), frames(), model, on_bound=on_bound)
             except KeyboardInterrupt:
                 live = [t.name for t in threading.enumerate() if t.name.startswith("stage-")]
+                live += [p.name for p in multiprocessing.active_children()]
                 print(exhausted.is_set(), live, round(time.monotonic() - sent[0], 1))
         """))
         assert proc.returncode == 0, proc.stderr
@@ -713,7 +755,7 @@ class TestServeTcp:
         # the client keeps reading through Ctrl-C: it must get whole frames
         # in order and then the end marker, not a stream cut mid-message
         proc = run_child(SERVE_CHILD_SETUP + textwrap.dedent("""
-            got, readers = [], []
+            got, readers, workers = [], [], []
 
             def client(addr):
                 with socket.create_connection(addr) as cli, cli.makefile("rb") as f:
@@ -721,6 +763,10 @@ class TestServeTcp:
                         while (msg := pipeline.read_frame(f)) is not None:
                             got.append(msg.frame_id)
                             if len(got) == 3:
+                                # as a terminal's Ctrl-C, which the workers ignore
+                                workers.extend(multiprocessing.active_children())
+                                for p in workers:
+                                    os.kill(p.pid, signal.SIGINT)
                                 os.kill(os.getpid(), signal.SIGINT)
                         got.append("end")
                     except (pipeline.WireError, OSError) as e:
@@ -736,10 +782,14 @@ class TestServeTcp:
             except KeyboardInterrupt:
                 readers[0].join(10)
                 live = [t.name for t in threading.enumerate() if t.name.startswith("stage-")]
-                print(live, got[-1], got[:-1] == list(range(len(got) - 1)))
+                live += [p.name for p in multiprocessing.active_children()]
+                print(live, got[-1], got[:-1] == list(range(len(got) - 1)),
+                      len(workers), {p.exitcode for p in workers})
         """))
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[0] == "[] end True"
+        # every worker outlived its SIGINT and exited 0 at the end of its pipe
+        line = proc.stdout.split("\n")[0]
+        assert line in ("[] end True 1 {0}", "[] end True 2 {0}"), line
 
     def test_stalled_client_is_dropped(self, model, monkeypatch):
         # the first client connects and never reads; once the socket buffers
@@ -776,6 +826,7 @@ class TestServeTcp:
         finally:
             stalled.close()
         assert not t.is_alive()
+        assert multiprocessing.active_children() == []
         ids = [m.frame_id for m in msgs]
         assert ids and ids == list(range(ids[0], n))
         assert result["stats"].frames == len(msgs)
