@@ -167,10 +167,10 @@ def parse_folding_spec(path) -> FoldingSpec:
             toks = line.split()
             if len(toks) != 3:
                 raise ValueError(f"line {ln}: expected 'layer_index pe simd'")
-            try:
-                idx, pe, simd = (int(t) for t in toks)
-            except ValueError:
-                raise ValueError(f"line {ln}: non-integer field") from None
+            # ASCII digits only: int() also takes '+', '_' and other scripts' digits
+            if not all(t.isascii() and t.isdigit() for t in toks):
+                raise ValueError(f"line {ln}: non-integer field in {line!r}")
+            idx, pe, simd = map(int, toks)
             if not 1 <= idx <= len(works):
                 raise ValueError(f"line {ln}: layer index {idx} outside 1..{len(works)}")
             if idx in seen:

@@ -85,10 +85,9 @@ def read_ppm(path) -> Image:
     fields = []
     for _ in range(3):
         tok, pos = _next_token(blob, pos)
-        try:
-            fields.append(int(tok))
-        except ValueError:
-            raise PpmError(f"non-numeric header field {tok!r}") from None
+        if not tok.isdigit():  # ASCII digits only; int() also takes '+', '_', '-'
+            raise PpmError(f"non-numeric header field {tok!r}")
+        fields.append(int(tok))
     width, height, maxval = fields
     if width < 1 or height < 1:
         raise PpmError(f"bad dimensions {width}x{height}")

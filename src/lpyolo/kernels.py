@@ -57,8 +57,8 @@ ACC_LIMIT = 1 << 31
 ACTIVATIONS = ("relu", "rescaled_hardtanh")
 
 # Large temporaries of conv2d_acc and requantize (see _scratch). Per thread,
-# because a Model is shared by pipeline threads and every TCP client gets new
-# stage threads.
+# so library callers may share a Model across threads; serve runs forward in
+# its infer worker processes, not in its stage threads.
 _SCRATCH = threading.local()
 
 # Bytes of im2col patch per band of output rows in conv2d_acc, and of float64

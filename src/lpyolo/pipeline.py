@@ -1,14 +1,11 @@
 """Streaming inference: preprocess -> infer -> postprocess -> stream,
 bounded blocking queues in between (a full queue stalls the producer;
-nothing is ever dropped). A stage runs on one or more worker threads; each
-item goes to the lowest-numbered idle worker, and a stage passes results on
-in the order their items arrived. Infer gets two workers when the process
-may run on two CPUs and BLAS runs on one thread, the other stages one each
-(see _infer_workers). Queue items are the bare payloads; end-of-stream is
+nothing is ever dropped). Each stage runs on one thread, so items keep
+their order end to end. Queue items are the bare payloads; end-of-stream is
 a private sentinel object pushed through every queue, so None is an
 ordinary item. A failing stage records its error, switches to draining its
-input so upstream never deadlocks, and the controller re-raises once all
-workers have flushed; a failing source first lets the stages finish the
+input so upstream never deadlocks, and the controller re-raises once every
+stage has flushed; a failing source first lets the stages finish the
 items it already yielded. An interrupt in the controller (Ctrl-C) is
 recorded the same way, so the stages drain and exit before it propagates;
 if a send to a client that stopped reading still blocks the stream after
@@ -16,18 +13,19 @@ a short grace, serve_tcp shuts the socket down.
 
 Also defines the little-endian TCP framing for annotated frames and
 serve_tcp, the one entry point that runs the four stages: a single-client
-server with backpressure all the way down to the socket. Each infer thread
-drives its own infer worker process: it writes a frame's input into memory
-the two share and signals over a pipe, and the worker runs forward, so the
-CNN does not wait on the interpreter lock the other stage threads hold.
-The workers are forked once per serve_tcp call, with the model already
-built, so they run its matmuls on the one BLAS thread model.build_model
-set.
+server with backpressure all the way down to the socket. forward runs in
+infer worker processes, so the CNN does not wait on the interpreter lock
+the stage threads hold: the preprocess thread writes each frame's input
+into a ring of slots shared with the workers and sends the slot number to
+the worker with the fewest inputs outstanding, and the infer thread reads
+the replies in frame order. Two workers run when the process may run on
+two CPUs and BLAS runs on one thread, otherwise one (see _infer_workers).
+They are forked once per serve_tcp call, with the model already built, so
+they run its matmuls on the one BLAS thread model.build_model set.
 """
 
 from __future__ import annotations
 
-import collections
 import logging
 import math
 import mmap
@@ -242,92 +240,15 @@ def read_frame(f):
 _END = object()  # end-of-stream; every other object, None included, is an item
 
 
-class _Feed:
-    """The bounded queue into one stage, shared by that stage's workers.
-
-    take hands the oldest item to the lowest-numbered idle worker, so with
-    one item in flight at a time only worker 0 ever runs (and grows scratch
-    and malloc arenas), and numbers items in the order they leave. A worker
-    that has run item n waits in turn() until items 0..n-1 have been passed
-    on, so the stage's output keeps its input's order. _END stays at the
-    head once it arrives, so every worker takes it in turn. Each worker
-    waits on its own condition and is woken only when the move may be its
-    own, so an idle spare worker is not woken for every item."""
-
-    def __init__(self, capacity: int, workers: int):
-        self._lock = threading.Lock()
-        self._room = threading.Condition(self._lock)  # the producer waits here
-        self._wake = [threading.Condition(self._lock) for _ in range(workers)]
-        self._items = collections.deque()
-        self._capacity = capacity
-        self._idle = set(range(workers))  # workers not running an item
-        self._live = workers  # workers that have not taken _END
-        self._taken = 0  # the number of the next item to leave
-        self._passed = 0  # items passed on (or dropped) so far
-
-    def _nudge(self) -> None:
-        """Wake the lowest-numbered idle worker if an item waits for it."""
-        if self._items and self._idle:
-            self._wake[min(self._idle)].notify()
-
-    def put(self, item, timeout: float | None = None) -> None:
-        """Append item once there is room; queue.Full after timeout seconds."""
-        with self._lock:
-            if not self._room.wait_for(lambda: len(self._items) < self._capacity, timeout):
-                raise queue.Full
-            self._items.append(item)
-            self._nudge()
-
-    def take(self, worker: int):
-        """Wait until an item is queued and worker is the lowest-numbered
-        idle one; return (number, item), or (None, _END)."""
-        with self._lock:
-            self._wake[worker].wait_for(lambda: self._items and min(self._idle) == worker)
-            self._idle.discard(worker)
-            item = self._items[0]
-            if item is not _END:
-                self._items.popleft()
-                self._room.notify()
-            self._nudge()
-            if item is _END:
-                return None, item
-            self._taken += 1
-            return self._taken - 1, item
-
-    def retire(self) -> bool:
-        """Count out a worker that took _END; True for the stage's last."""
-        with self._lock:
-            self._live -= 1
-            return self._live == 0
-
-    def turn(self, worker: int, number: int) -> None:
-        """Wait until item number is next to pass on, then count worker as
-        idle: all it has left is to pass the item on and call passed()."""
-        with self._lock:
-            self._wake[worker].wait_for(lambda: self._passed == number)
-            self._idle.add(worker)
-
-    def passed(self) -> None:
-        """Let the next item pass; only a busy worker can be waiting for it."""
-        with self._lock:
-            self._passed += 1
-            for k, wake in enumerate(self._wake):
-                if k not in self._idle:
-                    wake.notify()
-
-
 def run_staged(source, stages, queue_capacity: int = PipelineConfig.queue_capacity, on_end=None,
                on_interrupt=None) -> PipelineStats:
-    """Run items from source through a chain of (name, fn) or (name, fn,
-    workers) stages. A stage runs on `workers` threads (default 1), all
-    named stage-<name>; each item goes to the lowest-numbered idle one, and
-    results leave the stage in the order items entered it, so item order
-    is preserved end to end. stage_busy sums a stage's fn time over its
-    workers, so with several it can exceed the wall time. The last stage's
-    return value is discarded; give it a side-effecting fn to deliver
-    results (it runs on one worker, so delivery is in order). on_end (if
-    any) runs in the last stage's thread after the final item, error or
-    not.
+    """Run items from source through a chain of (name, fn) stages. Each
+    stage runs on one thread, named stage-<name>, behind a queue of
+    queue_capacity items, so item order is preserved end to end.
+    stage_busy is each stage's time in fn. The last stage's return value
+    is discarded; give it a side-effecting fn to deliver results. on_end
+    (if any) runs in the last stage's thread after the final item, error
+    or not.
 
     Raises PipelineError with the originating stage once everything has
     drained. When the source raises, the stages first finish the items it
@@ -343,14 +264,7 @@ def run_staged(source, stages, queue_capacity: int = PipelineConfig.queue_capaci
         raise ValueError("need at least one stage")
     if queue_capacity < 1:
         raise ValueError("queue capacity must be >= 1")
-    names = [stage[0] for stage in stages]
-    fns = [stage[1] for stage in stages]
-    counts = [stage[2] if len(stage) > 2 else 1 for stage in stages]
-    if min(counts) < 1:
-        raise ValueError("a stage needs at least one worker")
-    if counts[-1] != 1:
-        raise ValueError("the last stage delivers as it runs, so it has one worker")
-    feeds = [_Feed(queue_capacity, n) for n in counts]
+    feeds = [queue.Queue(queue_capacity) for _ in stages]
     busy = [0.0] * len(stages)
     done = [0]
     err: list = []
@@ -361,32 +275,24 @@ def run_staged(source, stages, queue_capacity: int = PipelineConfig.queue_capaci
             if not err:
                 err.append((name, exc))
 
-    def worker(idx: int, k: int) -> None:
-        name, fn, feed = names[idx], fns[idx], feeds[idx]
+    def run_stage(idx: int) -> None:
+        name, fn = stages[idx]
         nxt = feeds[idx + 1] if idx + 1 < len(feeds) else None
-        while True:
-            number, item = feed.take(k)
-            if item is _END:
-                break
-            ok = not err  # after a failure, drain without work so upstream never blocks
+        while (item := feeds[idx].get()) is not _END:
+            if err:  # after a failure, drain without work so upstream never blocks
+                continue
             t0 = time.perf_counter()
-            if ok:
-                try:
-                    out = fn(item)
-                except Exception as e:
-                    fail(name, e)
-                    ok = False
-            spent = time.perf_counter() - t0
-            feed.turn(k, number)
-            busy[idx] += spent
-            if ok:
-                if nxt is not None:
-                    nxt.put(out)
-                else:
-                    done[0] += 1
-            feed.passed()
-        if not feed.retire():
-            return
+            try:
+                out = fn(item)
+            except Exception as e:
+                fail(name, e)
+                continue
+            finally:
+                busy[idx] += time.perf_counter() - t0
+            if nxt is not None:
+                nxt.put(out)
+            else:
+                done[0] += 1
         if nxt is not None:
             nxt.put(_END)
         elif on_end is not None:
@@ -395,10 +301,8 @@ def run_staged(source, stages, queue_capacity: int = PipelineConfig.queue_capaci
             except Exception as e:
                 fail(name, e)
 
-    threads = [
-        threading.Thread(target=worker, args=(i, k), name=f"stage-{names[i]}")
-        for i, n in enumerate(counts) for k in range(n)
-    ]
+    threads = [threading.Thread(target=run_stage, args=(i,), name=f"stage-{name}")
+               for i, (name, _fn) in enumerate(stages)]
     ended = False
 
     def settle(timeout: float | None) -> bool:
@@ -456,7 +360,7 @@ def run_staged(source, stages, queue_capacity: int = PipelineConfig.queue_capaci
         frames=done[0],
         wall_seconds=wall,
         fps=done[0] / wall if wall > 0 else 0.0,
-        stage_busy=dict(zip(names, busy)),
+        stage_busy={name: spent for (name, _fn), spent in zip(stages, busy)},
     )
 
 
@@ -476,26 +380,26 @@ def _infer_workers() -> int:
     return 2 if cpus >= 2 and _pin_blas_threads() else 1
 
 
-def _infer_worker(pipe, inherited, frame: np.ndarray, model: Model) -> None:
-    """Body of an infer worker process. Each message on the pipe says the
-    next input is in frame, memory shared with the serving process; reply
-    with forward's output bytes, or with an empty message and then the
-    exception forward raised. Return when the pipe ends. SIGINT is
-    ignored: on Ctrl-C the serving process drains its stages, which still
-    need this worker, and then closes the pipe."""
+def _infer_worker(pipe, inherited, ring: np.ndarray, model: Model) -> None:
+    """Body of an infer worker process. Each message on the pipe is the
+    number of a ring slot, memory shared with the serving process, that
+    holds the next input; reply with forward's output bytes, or with an
+    empty message and then the exception forward raised. Return when the
+    pipe ends. SIGINT is ignored: on Ctrl-C the serving process drains its
+    stages, which still need this worker, and then closes the pipe."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in inherited:  # the serving process's ends, copied by the fork
         end.close()
-    # every byte is a value on the 8-bit pixel lattice, so the tensor stays
-    # valid while each input overwrites its data
-    x = QuantTensor(INPUT_SHAPE, frame, PIXEL_LATTICE)
+    # every byte is a value on the 8-bit pixel lattice, so a slot's tensor
+    # stays valid while each input overwrites its data
+    inputs = [QuantTensor(INPUT_SHAPE, slot, PIXEL_LATTICE) for slot in ring]
     while True:
         try:
-            pipe.recv_bytes()
+            slot = int.from_bytes(pipe.recv_bytes(), "little")
         except EOFError:
             return
         try:
-            out = forward(model, x)
+            out = forward(model, inputs[slot])
         except Exception as e:
             pipe.send_bytes(b"")
             pipe.send(e)
@@ -503,47 +407,106 @@ def _infer_worker(pipe, inherited, frame: np.ndarray, model: Model) -> None:
             pipe.send_bytes(out.data)
 
 
-def _start_infer_workers(model: Model, links: list, procs: list) -> None:
-    """Fork _infer_workers() infer workers. Each gets a pipe and an input
-    buffer in memory shared with this process; (pipe end, buffer) goes to
-    links and the process to procs as each starts, so the caller can stop
-    those that did."""
-    fork = multiprocessing.get_context("fork")
-    for k in range(_infer_workers()):
-        pipe, child_end = fork.Pipe()
-        frame = np.frombuffer(mmap.mmap(-1, math.prod(INPUT_SHAPE)), ACT_DTYPE)
-        links.append((pipe, frame))
-        proc = fork.Process(target=_infer_worker, name=f"infer-{k}",
-                            args=(child_end, [end for end, _ in links], frame, model))
+class _InferWorkers:
+    """The infer worker processes, one pipe each, and a ring of
+    queue_capacity + 2 input slots in memory they share with this process.
+
+    The preprocess thread submits each frame's input and the infer thread
+    reads each result, both in frame order. In between, a frame is held by
+    preprocess, waits in infer's queue (queue_capacity at most) or is in
+    infer, so a slot is written again only after its last result was read.
+    sent[k] counts the inputs handed to worker k and is written only by
+    submit; got[k] counts its replies read and is written only by result,
+    or by settle once the stages have exited."""
+
+    def __init__(self, queue_capacity: int):
+        slots = queue_capacity + 2
+        ring = mmap.mmap(-1, slots * math.prod(INPUT_SHAPE))
+        self._ring = np.frombuffer(ring, ACT_DTYPE).reshape(slots, -1)
+        self._submitted = 0
+        self.pipes: list = []
+        self.procs: list = []
+        self.sent: list = []
+        self.got: list = []
+
+    def start(self, model: Model) -> None:
+        """Fork _infer_workers() workers; each is recorded as it starts, so
+        close() stops those that did if a later fork fails."""
+        fork = multiprocessing.get_context("fork")
+        for k in range(_infer_workers()):
+            pipe, child_end = fork.Pipe()
+            self.pipes.append(pipe)
+            self.sent.append(0)
+            self.got.append(0)
+            proc = fork.Process(target=_infer_worker, name=f"infer-{k}",
+                                args=(child_end, self.pipes, self._ring, model))
+            try:
+                proc.start()
+            finally:
+                child_end.close()
+            self.procs.append(proc)
+
+    def submit(self, x: QuantTensor) -> int:
+        """Copy x into the next slot and hand it to the worker with the
+        fewest inputs outstanding, the lowest-numbered on a tie, so frames
+        that come one at a time all run on worker 0. Return that worker."""
+        _check_input_quant(x)
+        slot = self._submitted % len(self._ring)
+        self._submitted += 1
+        self._ring[slot] = x.data
+        k = min(range(len(self.pipes)), key=lambda k: self.sent[k] - self.got[k])
         try:
-            proc.start()
-        finally:
-            child_end.close()
-        procs.append(proc)
+            self.pipes[k].send_bytes(slot.to_bytes(8, "little"))
+        except ConnectionError:  # the worker died; result(k) raises EOFError
+            pass
+        self.sent[k] += 1
+        return k
+
+    def _reply(self, k: int):
+        pipe = self.pipes[k]
+        try:
+            out = pipe.recv_bytes()
+        except ConnectionResetError:  # it died with inputs still unread
+            raise EOFError(f"infer worker {k} exited") from None
+        error = None if out else pipe.recv()  # forward raised; its exception follows
+        self.got[k] += 1
+        return out, error
+
+    def result(self, k: int) -> bytes:
+        """forward's output bytes for worker k's oldest input not yet
+        read; forward's exception is raised here with its type."""
+        out, error = self._reply(k)
+        if error is not None:
+            raise error
+        return out
+
+    def settle(self) -> None:
+        """Read and drop every reply still owed, skipping a worker that
+        died, so the next run starts with none pending and no worker is
+        left blocked in a send when its pipe closes."""
+        for k in range(len(self.pipes)):
+            try:
+                while self.got[k] < self.sent[k]:
+                    self._reply(k)
+            except EOFError:
+                pass
+
+    def close(self) -> None:
+        for pipe in self.pipes:  # each worker exits at the end of its pipe
+            pipe.close()
+        for proc in self.procs:
+            proc.join()
 
 
-def _build_stages(model: Model, run_cfg: RunConfig, sink, links: list):
-    free = list(links)
-    bound = threading.local()
-
+def _build_stages(model: Model, run_cfg: RunConfig, sink, workers: _InferWorkers):
     def preprocess(item):
         frame_id, img = item
-        return frame_id, img, to_input(img)
+        return frame_id, img, workers.submit(to_input(img))
 
     def infer(item):
-        frame_id, img, x = item
-        link = getattr(bound, "link", None)
-        if link is None:  # each infer thread drives one worker
-            link = bound.link = free.pop()
-        pipe, frame = link
-        _check_input_quant(x)
-        frame[:] = x.data
-        pipe.send_bytes(b"")  # the input is in frame
-        out = pipe.recv_bytes()
-        if not out:  # forward raised in the worker; its exception follows
-            raise pipe.recv()
-        return frame_id, img, QuantTensor(OUTPUT_SHAPE, np.frombuffer(out, ACT_DTYPE),
-                                          PIXEL_LATTICE)
+        frame_id, img, k = item
+        out = np.frombuffer(workers.result(k), ACT_DTYPE)
+        return frame_id, img, QuantTensor(OUTPUT_SHAPE, out, PIXEL_LATTICE)
 
     def postprocess(item):
         frame_id, img, out = item
@@ -556,8 +519,7 @@ def _build_stages(model: Model, run_cfg: RunConfig, sink, links: list):
             payload=img.pixels,
         )
 
-    fns = (preprocess, infer, postprocess, sink)
-    return [(name, fn, len(links) if fn is infer else 1) for name, fn in zip(STAGES, fns)]
+    return list(zip(STAGES, (preprocess, infer, postprocess, sink)))
 
 
 # ---------------------------------------------------------------------------
@@ -581,8 +543,7 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
     cfg = cfg or PipelineConfig()
     run_cfg = run_cfg or RunConfig()
     frames = enumerate(source)
-    links: list = []
-    procs: list = []
+    workers = _InferWorkers(cfg.queue_capacity)
     srv = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
     try:
         srv.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
@@ -590,14 +551,14 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
         srv.listen(1)
         if on_bound is not None:
             on_bound(srv.getsockname())
-        _start_infer_workers(model, links, procs)
+        workers.start(model)
         while True:
             conn, peer = srv.accept()
             conn.settimeout(SEND_TIMEOUT_S)
             log.info("client %s connected", peer)
             try:
                 sink = _socket_sink(conn)
-                stages = _build_stages(model, run_cfg, sink, links)
+                stages = _build_stages(model, run_cfg, sink, workers)
                 stats = run_staged(frames, stages, cfg.queue_capacity, on_end=lambda: sink(None),
                                    on_interrupt=lambda: _shutdown(conn))
                 break
@@ -607,12 +568,10 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
                     continue
                 raise
             finally:
+                workers.settle()  # replies owed to this run must not reach the next
                 conn.close()
     finally:
-        for pipe, _frame in links:  # each worker exits at the end of its pipe
-            pipe.close()
-        for proc in procs:
-            proc.join()
+        workers.close()
         srv.close()
     # ru_maxrss of the children is the largest waited-for child's peak
     log.info(

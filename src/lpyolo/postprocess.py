@@ -249,6 +249,15 @@ def _is_zero_placeholder(line: str) -> bool:
         return False
 
 
+def _decimal(tok: str) -> int:
+    """int(tok) for ASCII digits after at most one leading '-'. int() alone
+    also takes '+', '_' separators, surrounding spaces and other scripts'
+    digits."""
+    if not (tok.isascii() and tok.removeprefix("-").isdigit()):
+        raise ValueError(f"not a decimal integer: {tok!r}")
+    return int(tok)
+
+
 def parse_widerface_gt(path) -> GroundTruthSet:
     """Annotation text format: image filename line, face count line, then
     count lines each starting "x y w h" (trailing attribute columns are
@@ -268,10 +277,10 @@ def parse_widerface_gt(path) -> GroundTruthSet:
             raise ValueError(f"line {i + 1}: file ends before face count")
         count_line = lines[i + 1].strip()
         try:
-            count = int(count_line)
+            count = _decimal(count_line)
         except ValueError:
             raise ValueError(f"line {i + 2}: invalid face count {count_line!r}") from None
-        if count < 0:
+        if count_line.startswith("-"):
             raise ValueError(f"line {i + 2}: negative face count")
         if image_id in boxes:
             raise ValueError(f"line {i + 1}: duplicate image {image_id!r}")
@@ -284,7 +293,7 @@ def parse_widerface_gt(path) -> GroundTruthSet:
             if len(toks) < 4:
                 raise ValueError(f"line {i + 1}: expected at least x y w h")
             try:
-                x, y, w, h = (int(t) for t in toks[:4])
+                x, y, w, h = map(_decimal, toks[:4])
                 box = (float(x), float(y), float(w), float(h))
             except ValueError:
                 raise ValueError(f"line {i + 1}: non-integer box fields") from None

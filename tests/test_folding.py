@@ -218,7 +218,7 @@ class TestBalance:
 class TestSpecFile:
     def _parse(self, tmp_path, text):
         p = tmp_path / "folds.txt"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         return parse_folding_spec(p)
 
     def _full_text(self):
@@ -250,6 +250,15 @@ class TestSpecFile:
     def test_non_integer(self, tmp_path):
         with pytest.raises(ValueError, match="non-integer"):
             self._parse(tmp_path, "1 x 1\n")
+
+    @pytest.mark.parametrize("row", ["+1 1 1", "1 +1 1", "0_1 1 1", "1 1 \u0661", "1 \uff11 1"],
+                             ids=["plus-index", "plus-pe", "underscore", "arabic-indic",
+                                  "fullwidth"])
+    def test_fields_are_ascii_digits(self, tmp_path, row):
+        # int() reads each row as "1 1 1", which would complete the spec
+        text = self._full_text().replace("1 1 1\n", row + "\n", 1)
+        with pytest.raises(ValueError, match="line 1: non-integer"):
+            self._parse(tmp_path, text)
 
     def test_wrong_arity(self, tmp_path):
         with pytest.raises(ValueError, match="expected"):

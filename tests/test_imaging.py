@@ -85,6 +85,16 @@ class TestPpm:
         with pytest.raises(PpmError, match="non-numeric"):
             read_ppm(p)
 
+    @pytest.mark.parametrize("header", [
+        b"P6 +2 1_0 255\n", b"P6 2 10 +255\n", b"P6 0_2 10 255\n",
+    ], ids=["plus-and-underscore", "plus-maxval", "underscore"])
+    def test_header_fields_are_ascii_digits(self, tmp_path, header):
+        # int() reads each of these fields, and the payload fits a 2x10 image
+        p = tmp_path / "strict.ppm"
+        p.write_bytes(header + bytes(3 * 2 * 10))
+        with pytest.raises(PpmError, match="non-numeric"):
+            read_ppm(p)
+
     def test_image_buffer_validated(self):
         with pytest.raises(ValueError):
             Image(width=2, height=2, pixels=b"\x00" * 11)

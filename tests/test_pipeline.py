@@ -63,6 +63,29 @@ def rand_image(rng, w=64, h=48):
     )
 
 
+def wire_detections(model, img, run_cfg):
+    """What serve sends for img: detect on a forward run here, each value
+    at the float32 precision of the wire."""
+    dets = detect(forward(model, to_input(img)), model.config, run_cfg)
+    return tuple(tuple(float(np.float32(v)) for v in
+                       (d.cx, d.cy, d.w, d.h, d.objectness, d.class_score)) for d in dets)
+
+
+def record_forward_pids(monkeypatch, path, delays=None):
+    """Make every forward in a forked infer worker append its pid to path,
+    after sleeping delays[worker name] seconds (default none)."""
+    real = pipeline.forward
+
+    def forward(m, x):
+        name = multiprocessing.current_process().name
+        time.sleep((delays or {}).get(name, 0.0))
+        with open(path, "a") as f:
+            f.write(f"{os.getpid()}\n")
+        return real(m, x)
+
+    monkeypatch.setattr(pipeline, "forward", forward)  # the fork inherits it
+
+
 def read_one(blob):
     """The message in blob, which must hold exactly one (read to the end)."""
     buf = io.BytesIO(blob)
@@ -413,108 +436,6 @@ class TestRunStaged:
         assert proc.stdout.split("\n")[0] == "interrupted [] [1]"
 
 
-    @settings(max_examples=30, deadline=None)
-    @given(st.lists(st.integers(0, 5), max_size=24), st.integers(1, 3))
-    def test_two_worker_stage_keeps_order(self, sleeps_ms, capacity):
-        seen, ends = [], []
-
-        def nap(item):
-            i, ms = item
-            time.sleep(ms / 1e3)
-            return i
-
-        stages = [("tag", lambda x: x), ("nap", nap, 2), ("collect", seen.append)]
-        stats = run_staged(enumerate(sleeps_ms), stages, queue_capacity=capacity,
-                           on_end=lambda: ends.append(1))
-        assert seen == list(range(len(sleeps_ms)))
-        assert stats.frames == len(sleeps_ms)
-        assert ends == [1]
-        assert not [t for t in threading.enumerate() if t.name.startswith("stage-")]
-
-    def test_many_workers_under_fast_switching(self):
-        # more workers than cores, each thread switch forced early: a lost
-        # update of the hand-off counters would reorder, drop or hang items
-        seen = []
-        old = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            stages = [("a", lambda x: x, 3), ("b", lambda x: x + 1, 4), ("c", seen.append)]
-            done = {}
-            t = threading.Thread(target=lambda: done.setdefault(
-                "stats", run_staged(range(2000), stages, queue_capacity=2)))
-            t.start()
-            t.join(60)
-        finally:
-            sys.setswitchinterval(old)
-        assert not t.is_alive()
-        assert seen == list(range(1, 2001))
-        assert done["stats"].frames == 2000
-
-    def test_worker_error_while_sibling_runs_surfaces(self):
-        # item 3 fails on one worker while the other still runs item 4; the
-        # sibling must not wait forever for item 3's turn. Run in a child so
-        # a deadlock times out instead of hanging here.
-        proc = run_child(textwrap.dedent("""
-            import threading, time
-            from lpyolo.pipeline import PipelineError, run_staged
-            sibling = threading.Event()
-
-            def work(x):
-                if x == 3:
-                    sibling.wait(5)
-                    raise RuntimeError("kaput")
-                if x == 4:
-                    sibling.set()
-                    time.sleep(0.05)
-                return x
-
-            try:
-                run_staged(range(100), [("work", work, 2), ("c", lambda x: None)])
-            except PipelineError as e:
-                print(sibling.is_set(), e.stage, type(e.original).__name__)
-        """))
-        assert proc.returncode == 0, proc.stderr
-        assert proc.stdout.split("\n")[0] == "True work RuntimeError"
-
-    def test_one_item_at_a_time_runs_on_one_worker(self):
-        # each item is fed only after the sink has the one before: the idle
-        # worker 0 takes every item, so a second worker never grows scratch
-        consumed = threading.Semaphore(0)
-        ran_on = []
-
-        def source():
-            for i in range(20):
-                yield i
-                assert consumed.acquire(timeout=5)
-
-        def work(x):
-            ran_on.append(threading.get_ident())
-            return x
-
-        run_staged(source(), [("work", work, 2), ("sink", lambda x: consumed.release())])
-        assert len(ran_on) == 20
-        assert len(set(ran_on)) == 1
-
-    def test_two_workers_overlap(self):
-        delay = 0.05
-
-        def slow(x):
-            time.sleep(delay)
-            return x
-
-        t0 = time.monotonic()
-        stats = run_staged(range(2), [("slow", slow, 2), ("c", lambda x: None)])
-        assert time.monotonic() - t0 < 1.5 * delay
-        assert stats.stage_busy["slow"] >= 2 * delay > stats.wall_seconds
-
-    @pytest.mark.parametrize("stages", [
-        [("a", lambda x: x, 0), ("c", lambda x: None)],
-        [("a", lambda x: x), ("c", lambda x: None, 2)],
-    ], ids=["no-worker", "two-sink-workers"])
-    def test_worker_counts_validated(self, stages):
-        with pytest.raises(ValueError, match="worker"):
-            run_staged(range(3), stages)
-
 
 class TestRunPipeline:
     """The four stages, run the one way they run: serve_tcp to a client."""
@@ -561,6 +482,111 @@ class TestInferWorkers:
     """serve_tcp runs forward in infer worker processes: two only where
     they help (two CPUs to run on and BLAS on one thread), and a worker's
     failure fails the infer stage."""
+
+    def test_backlog_keeps_order_across_uneven_workers(self, model, monkeypatch, tmp_path):
+        # worker 0 takes far longer per frame than worker 1, so replies come
+        # back out of frame order; each frame must still carry its own grid
+        monkeypatch.setattr(pipeline, "_infer_workers", lambda: 2)
+        record_forward_pids(monkeypatch, tmp_path / "pids", {"infer-0": 0.03})
+        rng = np.random.default_rng(9)
+        imgs = [rand_image(rng, 16, 16) for _ in range(12)]
+        run_cfg = RunConfig(conf_threshold=0.0)
+        msgs, stats = serve_one_client(imgs, model, run_cfg=run_cfg)
+        assert [m.frame_id for m in msgs] == list(range(12))
+        assert [m.detections for m in msgs] == [wire_detections(model, img, run_cfg)
+                                               for img in imgs]
+        assert stats.frames == 12
+        pids = (tmp_path / "pids").read_text().split()
+        assert len(pids) == 12
+        assert len(set(pids)) == 2
+
+    def test_smallest_ring_under_fast_switching(self, model, monkeypatch):
+        # queue capacity 1 leaves the ring three slots, and three workers on
+        # fewer cores with thread switches forced early shuffle when each
+        # reply arrives: a slot written again before its reply was read
+        # would give some frame another frame's grid
+        monkeypatch.setattr(pipeline, "_infer_workers", lambda: 3)
+        rng = np.random.default_rng(11)
+        imgs = [rand_image(rng, 16, 16) for _ in range(30)]
+        run_cfg = RunConfig(conf_threshold=0.0)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            msgs, _stats = serve_one_client(imgs, model, cfg=PipelineConfig(queue_capacity=1),
+                                            run_cfg=run_cfg)
+        finally:
+            sys.setswitchinterval(old)
+        assert [m.frame_id for m in msgs] == list(range(30))
+        assert [m.detections for m in msgs] == [wire_detections(model, img, run_cfg)
+                                               for img in imgs]
+
+    def test_one_frame_at_a_time_runs_on_one_worker(self, model, monkeypatch, tmp_path):
+        # each frame is read only after the one before has left infer: the
+        # worker with no input outstanding, lowest-numbered first, takes
+        # every frame, so a second worker never grows its scratch
+        monkeypatch.setattr(pipeline, "_infer_workers", lambda: 2)
+        record_forward_pids(monkeypatch, tmp_path / "pids")
+        inferred = threading.Semaphore(0)
+
+        def counting_detect(out, cfg, run_cfg):  # postprocess runs in this process
+            inferred.release()
+            return detect(out, cfg, run_cfg)
+
+        monkeypatch.setattr(pipeline, "detect", counting_detect)
+        rng = np.random.default_rng(10)
+
+        def frames():
+            for _ in range(8):
+                yield rand_image(rng, 16, 16)
+                assert inferred.acquire(timeout=10)
+
+        msgs, _stats = serve_one_client(frames(), model)
+        assert [m.frame_id for m in msgs] == list(range(8))
+        pids = (tmp_path / "pids").read_text().split()
+        assert len(pids) == 8
+        assert len(set(pids)) == 1
+
+    def test_forward_error_while_the_other_worker_runs(self):
+        # frame 0 fails on worker 0 while worker 1 is inside frame 1's
+        # forward: the stream must end with the infer error, and the reply
+        # still owed must be read so both workers exit 0 at the end of their
+        # pipes. Run in a child so a hang times out instead of hanging here.
+        proc = run_child(SERVE_CHILD_SETUP + textwrap.dedent("""
+            pipeline._infer_workers = lambda: 2
+            real = pipeline.forward
+            started = multiprocessing.get_context("fork").Event()
+
+            def forward(m, x):
+                if multiprocessing.current_process().name == "infer-1":
+                    started.set()
+                    time.sleep(0.3)
+                    return real(m, x)
+                started.wait(5)
+                raise RuntimeError("kaput")
+
+            pipeline.forward = forward
+            workers = []
+
+            def client(addr):
+                with socket.create_connection(addr) as cli:
+                    deadline = time.monotonic() + 10
+                    while (len(multiprocessing.active_children()) < 2
+                           and time.monotonic() < deadline):
+                        time.sleep(0.01)
+                    workers.extend(multiprocessing.active_children())
+                    cli.makefile("rb").read()
+
+            def on_bound(addr):
+                threading.Thread(target=client, args=(addr,)).start()
+
+            try:
+                pipeline.serve_tcp(("127.0.0.1", 0), [img] * 8, model, on_bound=on_bound)
+            except pipeline.PipelineError as e:
+                print(e.stage, type(e.original).__name__, started.is_set(),
+                      sorted(p.exitcode for p in workers), multiprocessing.active_children())
+        """))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[0] == "infer RuntimeError True [0, 0] []"
 
     def infer_workers(self, model, monkeypatch):
         counts = set()
@@ -609,6 +635,31 @@ class TestInferWorkers:
         assert ei.value.stage == "infer"
         assert isinstance(ei.value.original, EOFError)
 
+    @pytest.mark.parametrize("lives", [0.0, 0.1], ids=["sent-after-death", "unread-at-death"])
+    def test_frames_for_a_dead_worker_fail_infer(self, model, monkeypatch, lives):
+        # worker 1 dies in frame 1 while worker 0 is still inside frame 0.
+        # Frame 3 also goes to worker 1: at once it is sent after the death,
+        # after 0.1 s it waits unread in the pipe when the worker dies.
+        # Either way the stream must fail in infer, where the reply is
+        # read, with EOFError: not in preprocess's send, and not with the
+        # connection reset that reading after unread input reports
+        monkeypatch.setattr(pipeline, "_infer_workers", lambda: 2)
+        real = pipeline.forward
+
+        def forward(m, x):
+            if multiprocessing.current_process().name == "infer-1":
+                time.sleep(lives)
+                os._exit(3)
+            time.sleep(0.2)
+            return real(m, x)
+
+        monkeypatch.setattr(pipeline, "forward", forward)  # the fork inherits it
+        rng = np.random.default_rng(7)
+        with pytest.raises(PipelineError) as ei:
+            serve_one_client([rand_image(rng, 16, 16) for _ in range(8)], model)
+        assert ei.value.stage == "infer"
+        assert isinstance(ei.value.original, EOFError)
+
     def test_stream_complete_logs_worker_peak_rss(self, model, caplog):
         caplog.set_level(logging.INFO, logger="lpyolo.pipeline")
         serve_one_client([rand_image(np.random.default_rng(8), 16, 16)], model)
@@ -650,10 +701,12 @@ class TestServeTcp:
         assert stats.frames == 3
 
     def test_second_client_resumes_stream(self, model):
-        # enough frames that the in-flight window (4 queues + up to 5
-        # workers) cannot swallow the whole source when the first client dies
+        # enough frames that the in-flight window (4 queues of one, an item
+        # in each stage thread and one held by the feeding loop) cannot
+        # swallow the whole source when the first client dies
         rng = np.random.default_rng(2)
         imgs = [rand_image(rng, 16, 16) for _ in range(32)]
+        run_cfg = RunConfig(conf_threshold=0.0)
         bound = {}
         ready = threading.Event()
 
@@ -666,7 +719,7 @@ class TestServeTcp:
         def serve():
             result["stats"] = serve_tcp(
                 ("127.0.0.1", 0), imgs, model,
-                cfg=PipelineConfig(queue_capacity=1), on_bound=on_bound,
+                cfg=PipelineConfig(queue_capacity=1), run_cfg=run_cfg, on_bound=on_bound,
             )
 
         t = threading.Thread(target=serve)
@@ -710,6 +763,10 @@ class TestServeTcp:
         assert ids == list(range(ids[0], 32))
         assert ids[0] > 0  # strictly after what client one consumed
         assert result["stats"].frames == len(second_msgs)
+        # each frame carries its own grid, not a reply left over from the
+        # first client's run
+        for m in second_msgs:
+            assert m.detections == wire_detections(model, imgs[m.frame_id], run_cfg), m.frame_id
 
     @pytest.mark.parametrize("source", ["itertools.repeat(img)", "[img] * 8"])
     def test_interrupt_with_a_stalled_client_exits_soon(self, source):

@@ -526,7 +526,7 @@ class TestAp:
 class TestWiderfaceParse:
     def _parse(self, tmp_path, text):
         p = tmp_path / "gt.txt"
-        p.write_text(text)
+        p.write_text(text, encoding="utf-8")
         return parse_widerface_gt(p)
 
     def test_basic(self, tmp_path):
@@ -581,6 +581,27 @@ class TestWiderfaceParse:
     def test_non_integer_box(self, tmp_path):
         with pytest.raises(ValueError, match="non-integer"):
             self._parse(tmp_path, "a.jpg\n1\n1 2 x 4\n")
+
+    @pytest.mark.parametrize("row", [
+        "1_0 +2 \u0663 4", "+1 2 3 4", "1 2 3_0 4", "1 2 3 \uff14",
+    ], ids=["mixed", "plus", "underscore", "fullwidth"])
+    def test_box_fields_are_ascii_decimal(self, tmp_path, row):
+        # int() reads every one of these rows as a valid box
+        with pytest.raises(ValueError, match="line 3: non-integer"):
+            self._parse(tmp_path, f"a.jpg\n1\n{row} 0\n")
+
+    @pytest.mark.parametrize("count", ["+1", "1_0", "\u0661", "\uff11"])
+    def test_count_is_ascii_digits(self, tmp_path, count):
+        with pytest.raises(ValueError, match="line 2: invalid face count"):
+            self._parse(tmp_path, f"a.jpg\n{count}\n" + "1 1 2 2\n" * 10)
+
+    def test_negative_corner_is_a_box(self, tmp_path):
+        gt = self._parse(tmp_path, "a.jpg\n1\n-3 -4 5 6\n")
+        assert gt.boxes["a.jpg"] == [(-3.0, -4.0, 5.0, 6.0)]
+
+    def test_negative_zero_count(self, tmp_path):
+        with pytest.raises(ValueError, match="line 2: negative face count"):
+            self._parse(tmp_path, "a.jpg\n-0\n")
 
     def test_box_beyond_float_range(self, tmp_path):
         with pytest.raises(ValueError, match="line 3: box field beyond float range"):
