@@ -227,10 +227,10 @@ def _openblas():
 
 
 def _pin_blas_threads() -> bool:
-    """Set numpy's bundled OpenBLAS to one thread for the whole process and
-    log the thread counts found and set; change nothing, silently, when the
-    library or its thread-count symbols are missing. True when BLAS now
-    runs on one thread.
+    """Set numpy's bundled OpenBLAS to one thread for the whole process and,
+    when that changed the count, log the thread counts found and set;
+    change nothing, silently, when the library or its thread-count symbols
+    are missing. True when BLAS now runs on one thread.
 
     With OpenBLAS's default threads, each conv matmul in the infer stage of
     a paced stream took at least ~7.5 ms, waiting on OpenBLAS's helper
@@ -248,7 +248,8 @@ def _pin_blas_threads() -> bool:
     found = get()
     put(1)
     now = get()
-    log.info("BLAS threads: found %s, set %s", found, now)
+    if now != found:
+        log.info("BLAS threads: found %s, set %s", found, now)
     return now == 1
 
 

@@ -383,10 +383,10 @@ def _infer_workers() -> int:
 def _infer_worker(pipe, inherited, ring: np.ndarray, model: Model) -> None:
     """Body of an infer worker process. Each message on the pipe is the
     number of a ring slot, memory shared with the serving process, that
-    holds the next input; reply with forward's output bytes, or with an
-    empty message and then the exception forward raised. Return when the
-    pipe ends. SIGINT is ignored: on Ctrl-C the serving process drains its
-    stages, which still need this worker, and then closes the pipe."""
+    holds the next input; the one reply is forward's output bytes, or the
+    exception forward raised. Return when the pipe ends. SIGINT is ignored:
+    on Ctrl-C the serving process drains its stages, which still need this
+    worker, and then closes the pipe."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in inherited:  # the serving process's ends, copied by the fork
         end.close()
@@ -395,16 +395,14 @@ def _infer_worker(pipe, inherited, ring: np.ndarray, model: Model) -> None:
     inputs = [QuantTensor(INPUT_SHAPE, slot, PIXEL_LATTICE) for slot in ring]
     while True:
         try:
-            slot = int.from_bytes(pipe.recv_bytes(), "little")
+            slot = pipe.recv()
         except EOFError:
             return
         try:
-            out = forward(model, inputs[slot])
+            reply = forward(model, inputs[slot]).data.tobytes()
         except Exception as e:
-            pipe.send_bytes(b"")
-            pipe.send(e)
-        else:
-            pipe.send_bytes(out.data)
+            reply = e
+        pipe.send(reply)
 
 
 class _InferWorkers:
@@ -456,29 +454,27 @@ class _InferWorkers:
         self._ring[slot] = x.data
         k = min(range(len(self.pipes)), key=lambda k: self.sent[k] - self.got[k])
         try:
-            self.pipes[k].send_bytes(slot.to_bytes(8, "little"))
+            self.pipes[k].send(slot)
         except ConnectionError:  # the worker died; result(k) raises EOFError
             pass
         self.sent[k] += 1
         return k
 
     def _reply(self, k: int):
-        pipe = self.pipes[k]
         try:
-            out = pipe.recv_bytes()
+            reply = self.pipes[k].recv()
         except ConnectionResetError:  # it died with inputs still unread
             raise EOFError(f"infer worker {k} exited") from None
-        error = None if out else pipe.recv()  # forward raised; its exception follows
         self.got[k] += 1
-        return out, error
+        return reply
 
-    def result(self, k: int) -> bytes:
-        """forward's output bytes for worker k's oldest input not yet
-        read; forward's exception is raised here with its type."""
-        out, error = self._reply(k)
-        if error is not None:
-            raise error
-        return out
+    def result(self, k: int) -> QuantTensor:
+        """forward's output for worker k's oldest input not yet read;
+        forward's exception is raised here with its type."""
+        reply = self._reply(k)
+        if isinstance(reply, Exception):
+            raise reply
+        return QuantTensor(OUTPUT_SHAPE, np.frombuffer(reply, ACT_DTYPE), PIXEL_LATTICE)
 
     def settle(self) -> None:
         """Read and drop every reply still owed, skipping a worker that
@@ -503,10 +499,10 @@ def _build_stages(model: Model, run_cfg: RunConfig, sink, workers: _InferWorkers
         frame_id, img = item
         return frame_id, img, workers.submit(to_input(img))
 
+    # infer only reads replies, so it frees ring slots while postprocess runs
     def infer(item):
         frame_id, img, k = item
-        out = np.frombuffer(workers.result(k), ACT_DTYPE)
-        return frame_id, img, QuantTensor(OUTPUT_SHAPE, out, PIXEL_LATTICE)
+        return frame_id, img, workers.result(k)
 
     def postprocess(item):
         frame_id, img, out = item

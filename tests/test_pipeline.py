@@ -38,6 +38,7 @@ from lpyolo.pipeline import (
     serve_tcp,
 )
 from lpyolo.postprocess import detect
+from lpyolo.qcore import QuantTensor
 
 from loopback import read_stream, serve_one_client
 
@@ -628,6 +629,35 @@ class TestInferWorkers:
         assert isinstance(ei.value.original, ZeroDivisionError)
         assert str(ei.value.original) == "conv1 broke"
 
+    def test_reply_is_the_grid_or_the_forward_error(self, model, monkeypatch):
+        # one worker, two inputs: the first reply raises forward's error,
+        # the second is the next input's output tensor
+        monkeypatch.setattr(pipeline, "_infer_workers", lambda: 1)
+        rng = np.random.default_rng(12)
+        bad, good = (to_input(rand_image(rng, 16, 16)) for _ in range(2))
+        real = pipeline.forward
+
+        def forward(m, x):
+            if np.array_equal(x.data, bad.data):
+                raise ValueError("bad input")
+            return real(m, x)
+
+        monkeypatch.setattr(pipeline, "forward", forward)  # the fork inherits it
+        workers = pipeline._InferWorkers(PipelineConfig().queue_capacity)
+        try:
+            workers.start(model)
+            assert [workers.submit(bad), workers.submit(good)] == [0, 0]
+            with pytest.raises(ValueError, match="bad input"):
+                workers.result(0)
+            out = workers.result(0)
+        finally:
+            workers.settle()
+            workers.close()
+        want = real(model, good)
+        assert isinstance(out, QuantTensor)
+        assert (out.shape, out.params) == (want.shape, want.params)
+        assert np.array_equal(out.data, want.data)
+
     def test_a_worker_that_dies_fails_the_stage(self, model, monkeypatch):
         monkeypatch.setattr(pipeline, "forward", lambda m, x: os._exit(3))
         with pytest.raises(PipelineError) as ei:
@@ -659,6 +689,13 @@ class TestInferWorkers:
             serve_one_client([rand_image(rng, 16, 16) for _ in range(8)], model)
         assert ei.value.stage == "infer"
         assert isinstance(ei.value.original, EOFError)
+
+    def test_serve_logs_no_second_blas_pin(self, caplog):
+        # building the model pinned BLAS; serving finds it pinned already
+        m = random_init(ModelConfig(weight_bits=4, act_bits=4), seed=0)
+        caplog.set_level(logging.INFO, logger="lpyolo.kernels")
+        serve_one_client([rand_image(np.random.default_rng(13), 16, 16)], m)
+        assert [msg for msg in caplog.messages if "BLAS threads" in msg] == []
 
     def test_stream_complete_logs_worker_peak_rss(self, model, caplog):
         caplog.set_level(logging.INFO, logger="lpyolo.pipeline")
