@@ -1,4 +1,4 @@
-"""Streaming inference: preprocess -> infer -> postprocess -> stream,
+"""Streaming inference: preprocess -> infer -> stream,
 bounded blocking queues in between (a full queue stalls the producer;
 nothing is ever dropped). Each stage runs on one thread, so items keep
 their order end to end. Queue items are the bare payloads; end-of-stream is
@@ -12,16 +12,17 @@ if a send to a client that stopped reading still blocks the stream after
 a short grace, serve_tcp shuts the socket down.
 
 Also defines the little-endian TCP framing for annotated frames and
-serve_tcp, the one entry point that runs the four stages: a single-client
-server with backpressure all the way down to the socket. forward runs in
-infer worker processes, so the CNN does not wait on the interpreter lock
-the stage threads hold: the preprocess thread writes each frame's input
-into a ring of slots shared with the workers and sends the slot number to
-the worker with the fewest inputs outstanding, and the infer thread reads
-the replies in frame order. Two workers run when the process may run on
-two CPUs and BLAS runs on one thread, otherwise one (see _infer_workers).
-They are forked once per serve_tcp call, with the model already built, so
-they run its matmuls on the one BLAS thread model.build_model set.
+serve_tcp, the one entry point that runs the three stages: a single-client
+server with backpressure all the way down to the socket. forward and
+detect run in infer worker processes, so the CNN does not wait on the
+interpreter lock the stage threads hold: the preprocess thread writes each
+frame's input into a ring of slots shared with the workers and sends the
+slot number to the worker with the fewest inputs outstanding, and the
+infer thread reads each frame's detections in frame order. Two workers
+run when the process may run on two CPUs and BLAS runs on one thread,
+otherwise one (see _infer_workers). They are forked once per serve_tcp
+call, with the model already built, so they run its matmuls on the one
+BLAS thread model.build_model set.
 """
 
 from __future__ import annotations
@@ -44,8 +45,7 @@ import numpy as np
 
 from .imaging import to_input
 from .kernels import _pin_blas_threads
-from .model import (INPUT_SHAPE, OUTPUT_SHAPE, PIXEL_LATTICE, Model, RunConfig,
-                    _check_input_quant, forward)
+from .model import INPUT_SHAPE, PIXEL_LATTICE, Model, RunConfig, _check_input_quant, forward
 from .postprocess import detect
 from .qcore import ACT_DTYPE, QuantTensor
 
@@ -69,7 +69,7 @@ __all__ = [
 
 log = logging.getLogger("lpyolo.pipeline")
 
-STAGES = ("preprocess", "infer", "postprocess", "stream")
+STAGES = ("preprocess", "infer", "stream")
 
 WIRE_MAGIC = b"LPYO"
 WIRE_VERSION = 1
@@ -365,7 +365,7 @@ def run_staged(source, stages, queue_capacity: int = PipelineConfig.queue_capaci
 
 
 # ---------------------------------------------------------------------------
-# The real four stages
+# The real three stages
 
 
 def _infer_workers() -> int:
@@ -380,13 +380,13 @@ def _infer_workers() -> int:
     return 2 if cpus >= 2 and _pin_blas_threads() else 1
 
 
-def _infer_worker(pipe, inherited, ring: np.ndarray, model: Model) -> None:
+def _infer_worker(pipe, inherited, ring: np.ndarray, model: Model, run_cfg: RunConfig) -> None:
     """Body of an infer worker process. Each message on the pipe is the
     number of a ring slot, memory shared with the serving process, that
-    holds the next input; the one reply is forward's output bytes, or the
-    exception forward raised. Return when the pipe ends. SIGINT is ignored:
-    on Ctrl-C the serving process drains its stages, which still need this
-    worker, and then closes the pipe."""
+    holds the next input; the one reply is that frame's detections, or the
+    exception forward or detect raised. Return when the pipe ends. SIGINT
+    is ignored: on Ctrl-C the serving process drains its stages, which
+    still need this worker, and then closes the pipe."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     for end in inherited:  # the serving process's ends, copied by the fork
         end.close()
@@ -399,7 +399,7 @@ def _infer_worker(pipe, inherited, ring: np.ndarray, model: Model) -> None:
         except EOFError:
             return
         try:
-            reply = forward(model, inputs[slot]).data.tobytes()
+            reply = detect(forward(model, inputs[slot]), model.config, run_cfg)
         except Exception as e:
             reply = e
         pipe.send(reply)
@@ -427,7 +427,7 @@ class _InferWorkers:
         self.sent: list = []
         self.got: list = []
 
-    def start(self, model: Model) -> None:
+    def start(self, model: Model, run_cfg: RunConfig) -> None:
         """Fork _infer_workers() workers; each is recorded as it starts, so
         close() stops those that did if a later fork fails."""
         fork = multiprocessing.get_context("fork")
@@ -437,7 +437,7 @@ class _InferWorkers:
             self.sent.append(0)
             self.got.append(0)
             proc = fork.Process(target=_infer_worker, name=f"infer-{k}",
-                                args=(child_end, self.pipes, self._ring, model))
+                                args=(child_end, self.pipes, self._ring, model, run_cfg))
             try:
                 proc.start()
             finally:
@@ -468,13 +468,13 @@ class _InferWorkers:
         self.got[k] += 1
         return reply
 
-    def result(self, k: int) -> QuantTensor:
-        """forward's output for worker k's oldest input not yet read;
-        forward's exception is raised here with its type."""
+    def result(self, k: int) -> list:
+        """The detections of worker k's oldest input not yet read; an
+        exception from forward or detect is raised here with its type."""
         reply = self._reply(k)
         if isinstance(reply, Exception):
             raise reply
-        return QuantTensor(OUTPUT_SHAPE, np.frombuffer(reply, ACT_DTYPE), PIXEL_LATTICE)
+        return reply
 
     def settle(self) -> None:
         """Read and drop every reply still owed, skipping a worker that
@@ -494,28 +494,22 @@ class _InferWorkers:
             proc.join()
 
 
-def _build_stages(model: Model, run_cfg: RunConfig, sink, workers: _InferWorkers):
+def _build_stages(sink, workers: _InferWorkers):
     def preprocess(item):
         frame_id, img = item
         return frame_id, img, workers.submit(to_input(img))
 
-    # infer only reads replies, so it frees ring slots while postprocess runs
     def infer(item):
         frame_id, img, k = item
-        return frame_id, img, workers.result(k)
-
-    def postprocess(item):
-        frame_id, img, out = item
-        dets = detect(out, model.config, run_cfg)
         return FrameMessage(
             frame_id=frame_id,
             width=img.width,
             height=img.height,
-            detections=tuple(dets),
+            detections=workers.result(k),
             payload=img.pixels,
         )
 
-    return list(zip(STAGES, (preprocess, infer, postprocess, sink)))
+    return list(zip(STAGES, (preprocess, infer, sink)))
 
 
 # ---------------------------------------------------------------------------
@@ -547,14 +541,14 @@ def serve_tcp(address, source, model: Model, cfg: PipelineConfig | None = None,
         srv.listen(1)
         if on_bound is not None:
             on_bound(srv.getsockname())
-        workers.start(model)
+        workers.start(model, run_cfg)
         while True:
             conn, peer = srv.accept()
             conn.settimeout(SEND_TIMEOUT_S)
             log.info("client %s connected", peer)
             try:
                 sink = _socket_sink(conn)
-                stages = _build_stages(model, run_cfg, sink, workers)
+                stages = _build_stages(sink, workers)
                 stats = run_staged(frames, stages, cfg.queue_capacity, on_end=lambda: sink(None),
                                    on_interrupt=lambda: _shutdown(conn))
                 break

@@ -109,6 +109,17 @@ class TestInfer:
         assert code == 2
         assert "weights" in capsys.readouterr().err
 
+    def test_message_less_error_names_its_type(self, image, tmp_path, capsys, monkeypatch):
+        # reading /dev/zero as weights ends in a MemoryError with no message
+        def load_weights(path):
+            raise MemoryError()
+
+        monkeypatch.setattr(lpyolo.cli, "load_weights", load_weights)
+        code = main(["infer", "--weights", str(tmp_path / "w.lpyq"), "--image", image,
+                     "--out", str(tmp_path / "o.ppm")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: MemoryError\n"
+
     def test_missing_image_exit_2(self, weights, tmp_path, capsys):
         code = main(["infer", "--weights", weights,
                      "--image", str(tmp_path / "nope.ppm"),

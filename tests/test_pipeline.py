@@ -38,7 +38,6 @@ from lpyolo.pipeline import (
     serve_tcp,
 )
 from lpyolo.postprocess import detect
-from lpyolo.qcore import QuantTensor
 
 from loopback import read_stream, serve_one_client
 
@@ -85,6 +84,20 @@ def record_forward_pids(monkeypatch, path, delays=None):
         return real(m, x)
 
     monkeypatch.setattr(pipeline, "forward", forward)  # the fork inherits it
+
+
+def on_infer_message(monkeypatch, hook):
+    """Call hook() each time the infer stage builds a frame's message, which
+    it does once per frame after reading the frame's detections (the
+    client's read_frame builds messages too, on its own thread)."""
+    real = pipeline.FrameMessage
+
+    def message(*args, **kwargs):
+        if threading.current_thread().name == "stage-infer":
+            hook()
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "FrameMessage", message)
 
 
 def read_one(blob):
@@ -439,7 +452,7 @@ class TestRunStaged:
 
 
 class TestRunPipeline:
-    """The four stages, run the one way they run: serve_tcp to a client."""
+    """The three stages, run the one way they run: serve_tcp to a client."""
 
     def test_frames_in_order_with_payload(self, model):
         rng = np.random.default_rng(0)
@@ -476,13 +489,13 @@ class TestRunPipeline:
             PipelineConfig(queue_capacity=0)
 
     def test_stage_names(self):
-        assert STAGES == ("preprocess", "infer", "postprocess", "stream")
+        assert STAGES == ("preprocess", "infer", "stream")
 
 
 class TestInferWorkers:
-    """serve_tcp runs forward in infer worker processes: two only where
-    they help (two CPUs to run on and BLAS on one thread), and a worker's
-    failure fails the infer stage."""
+    """serve_tcp runs forward and detect in infer worker processes: two
+    only where they help (two CPUs to run on and BLAS on one thread), and a
+    worker's failure fails the infer stage."""
 
     def test_backlog_keeps_order_across_uneven_workers(self, model, monkeypatch, tmp_path):
         # worker 0 takes far longer per frame than worker 1, so replies come
@@ -528,12 +541,7 @@ class TestInferWorkers:
         monkeypatch.setattr(pipeline, "_infer_workers", lambda: 2)
         record_forward_pids(monkeypatch, tmp_path / "pids")
         inferred = threading.Semaphore(0)
-
-        def counting_detect(out, cfg, run_cfg):  # postprocess runs in this process
-            inferred.release()
-            return detect(out, cfg, run_cfg)
-
-        monkeypatch.setattr(pipeline, "detect", counting_detect)
+        on_infer_message(monkeypatch, inferred.release)
         rng = np.random.default_rng(10)
 
         def frames():
@@ -592,11 +600,8 @@ class TestInferWorkers:
     def infer_workers(self, model, monkeypatch):
         counts = set()
 
-        def counting_detect(out, cfg, run_cfg):  # postprocess runs in this process
-            counts.add(sum(p.name.startswith("infer-") for p in multiprocessing.active_children()))
-            return detect(out, cfg, run_cfg)
-
-        monkeypatch.setattr(pipeline, "detect", counting_detect)
+        on_infer_message(monkeypatch, lambda: counts.add(
+            sum(p.name.startswith("infer-") for p in multiprocessing.active_children())))
         rng = np.random.default_rng(5)
         msgs, _stats = serve_one_client([rand_image(rng, 16, 16) for _ in range(3)], model)
         assert [m.frame_id for m in msgs] == [0, 1, 2]
@@ -629,9 +634,9 @@ class TestInferWorkers:
         assert isinstance(ei.value.original, ZeroDivisionError)
         assert str(ei.value.original) == "conv1 broke"
 
-    def test_reply_is_the_grid_or_the_forward_error(self, model, monkeypatch):
+    def test_reply_is_the_detections_or_the_error(self, model, monkeypatch):
         # one worker, two inputs: the first reply raises forward's error,
-        # the second is the next input's output tensor
+        # the second is the next input's detections
         monkeypatch.setattr(pipeline, "_infer_workers", lambda: 1)
         rng = np.random.default_rng(12)
         bad, good = (to_input(rand_image(rng, 16, 16)) for _ in range(2))
@@ -643,9 +648,10 @@ class TestInferWorkers:
             return real(m, x)
 
         monkeypatch.setattr(pipeline, "forward", forward)  # the fork inherits it
+        run_cfg = RunConfig(conf_threshold=0.0)
         workers = pipeline._InferWorkers(PipelineConfig().queue_capacity)
         try:
-            workers.start(model)
+            workers.start(model, run_cfg)
             assert [workers.submit(bad), workers.submit(good)] == [0, 0]
             with pytest.raises(ValueError, match="bad input"):
                 workers.result(0)
@@ -653,10 +659,38 @@ class TestInferWorkers:
         finally:
             workers.settle()
             workers.close()
-        want = real(model, good)
-        assert isinstance(out, QuantTensor)
-        assert (out.shape, out.params) == (want.shape, want.params)
-        assert np.array_equal(out.data, want.data)
+        want = detect(real(model, good), model.config, run_cfg)
+        assert want
+        assert out == want
+
+    def test_detect_runs_in_the_workers(self, model, monkeypatch, tmp_path):
+        # the serving process only reads each frame's detections
+        path = tmp_path / "pids"
+        real = pipeline.detect
+
+        def detect_here(out, cfg, run_cfg):
+            with open(path, "a") as f:
+                f.write(f"{os.getpid()} {multiprocessing.current_process().name}\n")
+            return real(out, cfg, run_cfg)
+
+        monkeypatch.setattr(pipeline, "detect", detect_here)  # the fork inherits it
+        rng = np.random.default_rng(14)
+        msgs, _stats = serve_one_client([rand_image(rng, 16, 16) for _ in range(4)], model)
+        assert [m.frame_id for m in msgs] == [0, 1, 2, 3]
+        calls = [line.split() for line in path.read_text().splitlines()]
+        assert len(calls) == 4
+        assert all(pid != str(os.getpid()) and name.startswith("infer-") for pid, name in calls)
+
+    def test_detect_error_fails_infer_with_its_type(self, model, monkeypatch):
+        def broken_detect(out, cfg, run_cfg):
+            raise OverflowError("decode broke")
+
+        monkeypatch.setattr(pipeline, "detect", broken_detect)  # the fork inherits it
+        with pytest.raises(PipelineError) as ei:
+            serve_one_client([rand_image(np.random.default_rng(15), 16, 16)], model)
+        assert ei.value.stage == "infer"
+        assert isinstance(ei.value.original, OverflowError)
+        assert str(ei.value.original) == "decode broke"
 
     def test_a_worker_that_dies_fails_the_stage(self, model, monkeypatch):
         monkeypatch.setattr(pipeline, "forward", lambda m, x: os._exit(3))
